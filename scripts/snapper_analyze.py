@@ -57,12 +57,9 @@ the whole-program call graph; each finding prints the entry-to-sink chain.
                         uintptr_t/intptr_t, std::hash over a pointer type
 
 Engine: the shared self-contained tokenizer in scripts/cpp_lexer.py — the
-same toolchain as scripts/coro_lint.py. `--engine=libclang` is reserved for
-an AST-precise backend and fails fast with guidance when the clang Python
-bindings are absent (this container ships none, and nothing may be
-installed); the syntactic engine is the supported, CI-enforced path.
-compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS) is used for
-translation-unit discovery when no explicit paths are given.
+same toolchain as scripts/coro_lint.py. compile_commands.json
+(CMAKE_EXPORT_COMPILE_COMMANDS) is used for translation-unit discovery when
+no explicit paths are given.
 
 Suppressions:
   * inline: `// SNAPPER-ANALYZE-ALLOW(<rule>): <reason>` on the reported
@@ -1261,28 +1258,12 @@ def main():
                             os.path.abspath(__file__)),
                             "snapper_analyze_allow.txt"),
                         help="file-level suppression list")
-    parser.add_argument("--engine", choices=("syntactic", "libclang"),
-                        default="syntactic",
-                        help="analysis backend (libclang is gated on the "
-                             "clang Python bindings being importable)")
     parser.add_argument("--dump-graph", action="store_true",
                         help="print the raw lock-acquisition graph and exit")
     parser.add_argument("--self-test", metavar="FIXTURE_DIR",
                         help="verify rule reports against EXPECT-ANALYZE "
                              "markers in the fixture corpus")
     args = parser.parse_args()
-
-    if args.engine == "libclang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("snapper_analyze: --engine=libclang needs the clang "
-                  "Python bindings (python3 -m clang), which this "
-                  "environment does not ship; use the default syntactic "
-                  "engine — it is the CI-enforced path.", file=sys.stderr)
-            return 2
-        print("snapper_analyze: libclang backend is reserved; falling back "
-              "to the syntactic engine.", file=sys.stderr)
 
     if args.self_test:
         return self_test(args.self_test)

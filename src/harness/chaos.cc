@@ -11,39 +11,12 @@
 
 #include "common/mutex.h"
 #include "common/rng.h"
-#include "otxn/otxn_runtime.h"
-#include "snapper/snapper_runtime.h"
+#include "harness/smallbank_stack.h"
 #include "trace/trace_session.h"
 #include "wal/checkpoint.h"
-#include "wal/fault_env.h"
-#include "workloads/smallbank.h"
 
 namespace snapper::harness {
 namespace {
-
-constexpr double kPerAccount =
-    smallbank::kInitialChecking + smallbank::kInitialSavings;
-constexpr double kEps = 1e-6;
-
-/// An acked abort whose reason implies the transaction never entered the
-/// durable commit path — invisible after recovery, no matter when the crash
-/// hit. Everything else (kCascading, kSystemFailure, plain IOError from the
-/// degraded-WAL fast path or a failed log write) races the crash: the
-/// decision that produced the ack may or may not match what recovery derives
-/// from the surviving log prefix, so either outcome is legal.
-bool IsDeterministicAbort(const Status& status) {
-  if (!status.IsTxnAborted()) return false;
-  switch (status.abort_reason()) {
-    case AbortReason::kUserAbort:
-    case AbortReason::kActActConflict:
-    case AbortReason::kPactActDeadlock:
-    case AbortReason::kIncompleteAfterSet:
-    case AbortReason::kSerializabilityCheck:
-      return true;
-    default:
-      return false;
-  }
-}
 
 SnapperConfig ChaosConfig(uint64_t seed) {
   SnapperConfig config;
@@ -58,11 +31,123 @@ SnapperConfig ChaosConfig(uint64_t seed) {
   return config;
 }
 
-struct Gate {
+/// One chaos round's decodable traffic: transaction i moves `amount` from a
+/// random root account into the fresh account num_roots + i, so that
+/// account's balance alone tells whether i's effects survived.
+struct TransferRound {
+  std::vector<Future<TxnResult>> futures;
+  std::vector<bool> is_act;
+  std::vector<Future<Unit>> kill_acks;
+  std::vector<Status> outcomes;  ///< the acks, filled by Tally
+};
+
+/// Submits the round; once a third of the transactions are in, kills
+/// `num_kills` random accounts.
+TransferRound SubmitTransfers(SmallBankStack& stack, Rng& rng, int num_roots,
+                              int num_txns, double act_fraction, double amount,
+                              int num_kills) {
+  TransferRound round;
+  const int kill_at = std::max(1, num_txns / 3);
+  for (int i = 0; i < num_txns; ++i) {
+    if (i == kill_at) {
+      for (int k = 0; k < num_kills; ++k) {
+        Future<Unit> ack = stack.Kill(rng.Uniform(num_roots + num_txns));
+        if (ack.valid()) round.kill_acks.push_back(std::move(ack));
+      }
+    }
+    const uint64_t from = rng.Uniform(num_roots);
+    const bool act = !stack.has_pact() || rng.NextDouble() < act_fraction;
+    round.is_act.push_back(act);
+    round.futures.push_back(
+        stack.Submit(stack.Transfer(from, num_roots + i, amount, act)));
+  }
+  return round;
+}
+
+struct ArrivalGate {
   Mutex mu;
   CondVar cv;
-  bool done GUARDED_BY(mu) = false;
+  int remaining GUARDED_BY(mu) = 2;
 };
+
+/// Waits for every submission and kill ack under one watchdog: any future
+/// still unresolved at expiry is an invariant violation (failures must
+/// resolve everything; nothing may hang). Returns that violation, counting
+/// the unresolved transactions into `unresolved`; empty once all resolved.
+std::string AwaitRound(const TransferRound& round, double watchdog_seconds,
+                       int* unresolved) {
+  // The shared_ptr gate outlives this frame, so a late OnReady from a leaked
+  // runtime cannot touch dead stack memory.
+  auto gate = std::make_shared<ArrivalGate>();
+  auto arrive = [gate]() {
+    MutexLock lock(&gate->mu);
+    if (--gate->remaining == 0) gate->cv.NotifyAll();
+  };
+  WhenAll(round.futures).OnReady(arrive);
+  WhenAll(round.kill_acks).OnReady(arrive);
+  MutexLock lock(&gate->mu);
+  if (gate->cv.WaitFor(gate->mu,
+                       std::chrono::duration<double>(watchdog_seconds),
+                       [&gate]() REQUIRES(gate->mu) {
+                         return gate->remaining == 0;
+                       })) {
+    return "";
+  }
+  int kills_pending = 0;
+  for (const auto& f : round.futures) *unresolved += f.ready() ? 0 : 1;
+  for (const auto& f : round.kill_acks) kills_pending += f.ready() ? 0 : 1;
+  std::ostringstream os;
+  os << "hang: " << *unresolved << "/" << round.futures.size()
+     << " txn futures and " << kills_pending << "/" << round.kill_acks.size()
+     << " kill acks unresolved after " << watchdog_seconds << "s";
+  return os.str();
+}
+
+template <typename Report>
+void Tally(const SmallBankStack& stack, TransferRound& round, Report& report) {
+  for (const auto& f : round.futures) {
+    const Status& s = round.outcomes.emplace_back(f.Peek().status);
+    if (s.ok()) {
+      report.committed++;
+    } else if (stack.InDoubt(s)) {
+      report.in_doubt++;
+    } else {
+      report.aborted++;
+    }
+  }
+}
+
+/// Invariants over the rebuilt balances: conservation, acked-committed
+/// transactions durable, acked aborts that are not in doubt invisible. An
+/// in-doubt ack may go either way, but its account must hold one of the two
+/// balances.
+template <typename Report>
+void AuditRound(SmallBankStack& stack, const TransferRound& round,
+                int num_roots, double amount, Report& report) {
+  std::ostringstream violations;
+  std::vector<double> balance;
+  const int num_txns = static_cast<int>(round.futures.size());
+  report.total_balance =
+      AuditBalances(stack, num_roots + num_txns, &balance, violations);
+  for (int i = 0; i < num_txns; ++i) {
+    const double b = balance[num_roots + i];
+    const bool durable = std::fabs(b - (kPerAccount + amount)) <= kEps;
+    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
+    const Status& s = round.outcomes[i];
+    const char* kind = round.is_act[i] ? "ACT" : "PACT";
+    if (!durable && !invisible) {
+      violations << kind << " txn " << i << ": unexplained balance " << b
+                 << "; ";
+    } else if (s.ok() && !durable) {
+      violations << kind << " txn " << i
+                 << ": acked committed but not durable; ";
+    } else if (!s.ok() && !stack.InDoubt(s) && !invisible) {
+      violations << kind << " txn " << i << ": acked abort (" << s.ToString()
+                 << ") but effects durable; ";
+    }
+  }
+  report.violation = violations.str();
+}
 
 }  // namespace
 
@@ -72,18 +157,11 @@ ChaosReport RunSmallBankChaos(const ChaosOptions& options) {
 
   MemEnv base;
   FaultInjectionEnv env(&base);
-  const SnapperConfig config = ChaosConfig(options.seed);
   const int num_accounts = options.num_roots + options.num_txns;
   report.expected_total = kPerAccount * num_accounts;
 
-  // --- Phase 1: run a faulted round. The runtime is leaked (released, not
-  // destroyed) if the watchdog expires: a destructor that joins workers
-  // blocked on a hung future would turn the reported violation into a test
-  // binary timeout.
-  auto rt = std::make_unique<SnapperRuntime>(config, &env);
-  const uint32_t type = smallbank::RegisterSmallBank(*rt);
-  rt->Start();
-
+  // --- Phase 1: run a faulted round.
+  auto stack = MakeSnapperStack(ChaosConfig(options.seed), &env, &env);
   if (options.inject_fault) {
     report.fault_sync = options.fault_sync != 0
                             ? options.fault_sync
@@ -92,133 +170,23 @@ ChaosReport RunSmallBankChaos(const ChaosOptions& options) {
     env.FailNth(FaultInjectionEnv::Op::kSync, report.fault_sync,
                 report.sticky);
   }
-
-  std::vector<Future<TxnResult>> futures;
-  std::vector<bool> is_act;
-  futures.reserve(options.num_txns);
-  for (int i = 0; i < options.num_txns; ++i) {
-    const uint64_t from = rng.Uniform(options.num_roots);
-    const uint64_t to = options.num_roots + i;
-    const bool act = rng.NextDouble() < options.act_fraction;
-    is_act.push_back(act);
-    Value input =
-        smallbank::MultiTransferInput(options.amount, {to});
-    if (act) {
-      futures.push_back(rt->SubmitAct(ActorId{type, from}, "MultiTransfer",
-                                      std::move(input)));
-    } else {
-      futures.push_back(rt->SubmitPact(
-          ActorId{type, from}, "MultiTransfer", std::move(input),
-          smallbank::SmallBankActor::MultiTransferAccessInfo(type, from,
-                                                             {to})));
-    }
+  TransferRound round =
+      SubmitTransfers(*stack, rng, options.num_roots, options.num_txns,
+                      options.act_fraction, options.amount, /*num_kills=*/0);
+  report.violation =
+      AwaitRound(round, options.watchdog_seconds, &report.unresolved);
+  if (!report.violation.empty()) {
+    LeakHungStack(std::move(stack));
+    return report;
   }
+  Tally(*stack, round, report);
 
-  // Watchdog: the shared_ptr gate outlives this frame, so a late OnReady
-  // from a leaked runtime cannot touch dead stack memory.
-  auto gate = std::make_shared<Gate>();
-  WhenAll(futures).OnReady([gate]() {
-    MutexLock lock(&gate->mu);
-    gate->done = true;
-    gate->cv.NotifyAll();
-  });
-  {
-    MutexLock lock(&gate->mu);
-    const bool resolved = gate->cv.WaitFor(
-        gate->mu, std::chrono::duration<double>(options.watchdog_seconds),
-        [&gate]() REQUIRES(gate->mu) { return gate->done; });
-    if (!resolved) {
-      for (const auto& f : futures) {
-        if (!f.ready()) report.unresolved++;
-      }
-      std::ostringstream os;
-      os << "hang: " << report.unresolved << "/" << options.num_txns
-         << " futures unresolved after " << options.watchdog_seconds << "s";
-      report.violation = os.str();
-      rt.release();  // deliberate leak, see above
-      return report;
-    }
-  }
-
-  std::vector<Status> outcomes;
-  outcomes.reserve(options.num_txns);
-  for (const auto& f : futures) {
-    outcomes.push_back(f.Peek().status);
-    if (outcomes.back().ok()) {
-      report.committed++;
-    } else if (IsDeterministicAbort(outcomes.back())) {
-      report.aborted++;
-    } else {
-      report.in_doubt++;
-    }
-  }
-
-  // --- Phase 2: crash, replace the device, recover.
-  rt.reset();  // silo dies: loggers close, in-memory state vanishes
+  // --- Phase 2: crash, replace the device, recover; check invariants.
+  report.violation = stack->Rebuild(num_accounts, options.tear_bytes);
   report.fault_fired = env.faults_injected() > 0;
-  Status crash_status = env.Crash(options.tear_bytes);
-  env.ClearFaults();
-  if (!crash_status.ok()) {
-    report.violation = "Crash(): " + crash_status.ToString();
-    return report;
+  if (report.violation.empty()) {
+    AuditRound(*stack, round, options.num_roots, options.amount, report);
   }
-
-  SnapperRuntime recovered(config, &env);
-  const uint32_t rtype = smallbank::RegisterSmallBank(recovered);
-  auto recovery = recovered.Recover();
-  if (!recovery.ok()) {
-    report.violation = "Recover(): " + recovery.status().ToString();
-    return report;
-  }
-  recovered.Start();
-
-  // --- Phase 3: invariants over recovered balances.
-  std::ostringstream violations;
-  violations.precision(15);  // balances are ~2e7-scale; show unit deltas
-  double total = 0;
-  std::vector<double> balance(num_accounts, 0);
-  for (int a = 0; a < num_accounts; ++a) {
-    TxnResult r =
-        recovered.RunNt(ActorId{rtype, static_cast<uint64_t>(a)}, "Balance",
-                        Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    balance[a] = r.value.AsDouble();
-    total += balance[a];
-  }
-  report.total_balance = total;
-
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-
-  // Each transaction i deposits into the fresh account num_roots + i, so
-  // that account's balance decodes whether i's effects survived.
-  for (int i = 0; i < options.num_txns; ++i) {
-    const double b = balance[options.num_roots + i];
-    const bool durable = std::fabs(b - (kPerAccount + options.amount)) <= kEps;
-    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
-    const Status& s = outcomes[i];
-    const char* kind = is_act[i] ? "ACT" : "PACT";
-    if (!durable && !invisible) {
-      violations << kind << " txn " << i << ": unexplained balance " << b
-                 << "; ";
-    } else if (s.ok() && !durable) {
-      violations << kind << " txn " << i
-                 << ": acked committed but not durable; ";
-    } else if (IsDeterministicAbort(s) && !invisible) {
-      violations << kind << " txn " << i << ": acked abort ("
-                 << s.ToString() << ") but effects durable; ";
-    }
-    // In-doubt outcomes: either balance is legal; conservation and the
-    // unexplained-balance check above still constrain them.
-  }
-
-  report.violation = violations.str();
   return report;
 }
 
@@ -238,7 +206,6 @@ std::string ActorChaosReport::ToJson() const {
      << ",\"watchdog_batch_aborts\":" << watchdog_batch_aborts
      << ",\"watchdog_act_aborts\":" << watchdog_act_aborts
      << ",\"watchdog_act_resolutions\":" << watchdog_act_resolutions
-     << ",\"txn_deadline_aborts\":" << txn_deadline_aborts
      << ",\"msgs_total\":" << msgs_total
      << ",\"msgs_dropped\":" << msgs_dropped
      << ",\"msgs_duplicated\":" << msgs_duplicated
@@ -260,16 +227,6 @@ std::string ActorChaosReport::ToJson() const {
 
 namespace {
 
-/// Deterministic-abort set for actor-chaos rounds: everything in
-/// IsDeterministicAbort plus kActorFailed — a transaction acked with
-/// actor-failed never reached the durable commit path (the failed access
-/// keeps its batch from completing / its 2PC from preparing).
-bool IsDeterministicActorAbort(const Status& status) {
-  if (IsDeterministicAbort(status)) return true;
-  return status.IsTxnAborted() &&
-         status.abort_reason() == AbortReason::kActorFailed;
-}
-
 void ArmMessageFaults(MessageFaultInjector& faults,
                       const ActorChaosOptions& options) {
   if (options.drop_nth > 0) {
@@ -287,14 +244,6 @@ void ArmMessageFaults(MessageFaultInjector& faults,
     // traffic generator's choices.
     faults.InjectProbabilistically(mf, Rng::Derive(options.seed, 0xfa));
   }
-}
-
-void CopyFaultCounters(const MessageFaultInjector& faults,
-                       ActorChaosReport& report) {
-  report.msgs_total = faults.messages();
-  report.msgs_dropped = faults.dropped();
-  report.msgs_duplicated = faults.duplicated();
-  report.msgs_delayed = faults.delayed();
 }
 
 /// Checkpoint turns trail the last transaction asynchronously (threshold
@@ -317,13 +266,27 @@ void DrainCheckpoints(LogManager& log) {
   }
 }
 
-/// Waits for `gates` WhenAll arrivals with one deadline. Returns false on
-/// watchdog expiry.
-struct ArrivalGate {
-  Mutex mu;
-  CondVar cv;
-  int remaining GUARDED_BY(mu) = 0;
-};
+/// The in-round counter snapshot (see ActorChaosReport).
+void ReadRoundCounters(SmallBankStack& stack, ActorChaosReport& report) {
+  const MessageFaultInjector& faults = stack.runtime().msg_faults();
+  report.msgs_total = faults.messages();
+  report.msgs_dropped = faults.dropped();
+  report.msgs_duplicated = faults.duplicated();
+  report.msgs_delayed = faults.delayed();
+  const MessageCounters& c = stack.Counters();
+  report.actor_kills = c.actor_kills.load();
+  report.reactivations = c.reactivations.load();
+  report.reactivation_us = c.reactivation_us.load();
+  report.watchdog_batch_aborts = c.watchdog_batch_aborts.load();
+  report.watchdog_act_aborts = c.watchdog_act_aborts.load();
+  report.watchdog_act_resolutions = c.watchdog_act_resolutions.load();
+  report.checkpoints_taken = c.checkpoints_taken.load();
+  report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
+  report.wal_segments_truncated = c.wal_segments_truncated.load();
+  report.wal_bytes_truncated = c.wal_bytes_truncated.load();
+  report.recovery_replay_records = c.recovery_replay_records.load();
+  report.recovery_time_us = c.recovery_time_us.load();
+}
 
 /// Opens the trace session requested by `options` (replay wins over record)
 /// and attaches its hooks. Returns false — with report.violation set — when
@@ -350,13 +313,23 @@ bool OpenTraceSession(const ActorChaosOptions& options,
   return true;
 }
 
-/// Appends (record) or checks (replay) the deterministic counter snapshot,
-/// detaches the hooks, and copies the trace outcome into the report. Only
-/// outcome counters that are fixed once the submitted futures resolve are
-/// compared — msgs_* / reactivation / checkpoint counters keep moving with
-/// trailing turns after the ack and are cut-point-sensitive (DESIGN.md §4g);
+/// Detaches the hooks (a record-mode Detach writes the trace) and copies the
+/// trace outcome into the report.
+void CloseTraceSession(trace::TraceSession* session,
+                       ActorChaosReport& report) {
+  if (session == nullptr) return;
+  session->Detach();
+  report.trace_turns = session->turn_count();
+  report.trace_divergence = session->divergence();
+}
+
+/// Ends the traced window: appends (record) or checks (replay) the
+/// deterministic counter snapshot, then closes the session. Only outcome
+/// counters that are fixed once the submitted futures resolve are compared
+/// — msgs_* / reactivation / checkpoint counters keep moving with trailing
+/// turns after the ack and are cut-point-sensitive (DESIGN.md §4g);
 /// per-turn state digests carry the bit-identical claim for those paths.
-void FinishTraceSession(std::unique_ptr<trace::TraceSession>& session,
+void FinishTraceSession(trace::TraceSession* session,
                         ActorChaosReport& report) {
   if (session == nullptr) return;
   session->CheckOrRecordCounters(
@@ -365,395 +338,7 @@ void FinishTraceSession(std::unique_ptr<trace::TraceSession>& session,
        {"in_doubt", static_cast<uint64_t>(report.in_doubt)},
        {"unresolved", static_cast<uint64_t>(report.unresolved)},
        {"actor_kills", report.actor_kills}});
-  session->Detach();
-  report.trace_turns = session->turn_count();
-  report.trace_divergence = session->divergence();
-}
-
-ActorChaosReport RunSnapperActorChaos(const ActorChaosOptions& options) {
-  ActorChaosReport report;
-  Rng rng(options.seed);
-
-  // Healthy storage wrapped in FaultInjectionEnv only for its Crash()
-  // (silo-death) semantics at phase 2; no storage faults are armed.
-  MemEnv base;
-  FaultInjectionEnv env(&base);
-  SnapperConfig config = ChaosConfig(options.seed);
-  config.batch_deadline = options.batch_deadline;
-  config.act_resolution_deadline = options.act_resolution_deadline;
-  config.txn_deadline = options.txn_deadline;
-  config.wal_segment_bytes = options.wal_segment_bytes;
-  config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
-  const int num_accounts = options.num_roots + options.num_txns;
-  report.expected_total = kPerAccount * num_accounts;
-
-  // Declared before the runtime: in-flight turns may still be inside hook
-  // calls until the workers park, so the session must be destroyed last.
-  std::unique_ptr<trace::TraceSession> session;
-  if (!OpenTraceSession(options, report, &session)) return report;
-
-  // Leaked (released, not destroyed) if the watchdog expires; see
-  // RunSmallBankChaos.
-  auto rt = std::make_unique<SnapperRuntime>(config, &env);
-  const uint32_t type = smallbank::RegisterSmallBank(*rt);
-  rt->Start();
-
-  auto& faults = rt->runtime().msg_faults();
-  ArmMessageFaults(faults, options);
-
-  std::vector<Future<TxnResult>> futures;
-  std::vector<Future<Unit>> kill_acks;
-  std::vector<bool> is_act;
-  futures.reserve(options.num_txns);
-  const int kill_at = std::max(1, options.num_txns / 3);
-  for (int i = 0; i < options.num_txns; ++i) {
-    if (i == kill_at) {
-      for (int k = 0; k < options.num_kills; ++k) {
-        const auto victim = ActorId{type, rng.Uniform(num_accounts)};
-        kill_acks.push_back(rt->KillActor(victim));
-      }
-    }
-    const uint64_t from = rng.Uniform(options.num_roots);
-    const uint64_t to = options.num_roots + i;
-    const bool act = rng.NextDouble() < options.act_fraction;
-    is_act.push_back(act);
-    Value input = smallbank::MultiTransferInput(options.amount, {to});
-    if (act) {
-      futures.push_back(rt->SubmitAct(ActorId{type, from}, "MultiTransfer",
-                                      std::move(input)));
-    } else {
-      futures.push_back(rt->SubmitPact(
-          ActorId{type, from}, "MultiTransfer", std::move(input),
-          smallbank::SmallBankActor::MultiTransferAccessInfo(type, from,
-                                                             {to})));
-    }
-  }
-
-  auto gate = std::make_shared<ArrivalGate>();
-  {
-    MutexLock lock(&gate->mu);
-    gate->remaining = 2;
-  }
-  auto arrive = [gate]() {
-    MutexLock lock(&gate->mu);
-    if (--gate->remaining == 0) gate->cv.NotifyAll();
-  };
-  WhenAll(futures).OnReady(arrive);
-  WhenAll(kill_acks).OnReady(arrive);
-  {
-    MutexLock lock(&gate->mu);
-    const bool resolved = gate->cv.WaitFor(
-        gate->mu, std::chrono::duration<double>(options.watchdog_seconds),
-        [&gate]() REQUIRES(gate->mu) { return gate->remaining == 0; });
-    if (!resolved) {
-      for (const auto& f : futures) {
-        if (!f.ready()) report.unresolved++;
-      }
-      int kills_pending = 0;
-      for (const auto& f : kill_acks) {
-        if (!f.ready()) kills_pending++;
-      }
-      std::ostringstream os;
-      os << "hang: " << report.unresolved << "/" << options.num_txns
-         << " txn futures and " << kills_pending << "/" << kill_acks.size()
-         << " kill acks unresolved after " << options.watchdog_seconds << "s";
-      report.violation = os.str();
-      CopyFaultCounters(faults, report);
-      // Snapshot the runtime counters too: a hang report without the
-      // watchdog / checkpoint numbers is undebuggable after the fact.
-      rt->SyncWalCounters();
-      const auto& hc = rt->context().counters;
-      report.actor_kills = hc.actor_kills.load();
-      report.reactivations = hc.reactivations.load();
-      report.watchdog_batch_aborts = hc.watchdog_batch_aborts.load();
-      report.watchdog_act_aborts = hc.watchdog_act_aborts.load();
-      report.watchdog_act_resolutions = hc.watchdog_act_resolutions.load();
-      report.txn_deadline_aborts = hc.txn_deadline_aborts.load();
-      report.checkpoints_taken = hc.checkpoints_taken.load();
-      report.recovery_replay_records = hc.recovery_replay_records.load();
-      if (session != nullptr) {
-        // Uninstall the hooks (a record-mode Detach still writes the partial
-        // trace for post-mortem), then leak the session alongside the
-        // runtime: leaked workers may hold references into it.
-        session->Detach();
-        report.trace_turns = session->turn_count();
-        report.trace_divergence = session->divergence();
-        session.release();
-      }
-      rt.release();  // deliberate leak, see above
-      return report;
-    }
-  }
-
-  std::vector<Status> outcomes;
-  outcomes.reserve(options.num_txns);
-  for (const auto& f : futures) {
-    outcomes.push_back(f.Peek().status);
-    if (outcomes.back().ok()) {
-      report.committed++;
-    } else if (IsDeterministicActorAbort(outcomes.back())) {
-      report.aborted++;
-    } else {
-      report.in_doubt++;
-    }
-  }
-
-  faults.ClearFaults();
-  CopyFaultCounters(faults, report);
-  report.retired_activations = rt->runtime().num_retired();
-  DrainCheckpoints(rt->log_manager());
-  rt->SyncWalCounters();
-  const auto& counters = rt->context().counters;
-  report.actor_kills = counters.actor_kills.load();
-  report.reactivations = counters.reactivations.load();
-  report.reactivation_us = counters.reactivation_us.load();
-  report.watchdog_batch_aborts = counters.watchdog_batch_aborts.load();
-  report.watchdog_act_aborts = counters.watchdog_act_aborts.load();
-  report.watchdog_act_resolutions = counters.watchdog_act_resolutions.load();
-  report.txn_deadline_aborts = counters.txn_deadline_aborts.load();
-  report.checkpoints_taken = counters.checkpoints_taken.load();
-  report.checkpoint_lag_bytes = counters.checkpoint_lag_bytes.load();
-  report.wal_segments_truncated = counters.wal_segments_truncated.load();
-  report.wal_bytes_truncated = counters.wal_bytes_truncated.load();
-  report.recovery_replay_records = counters.recovery_replay_records.load();
-  report.recovery_time_us = counters.recovery_time_us.load();
-
-  // End of the traced window: phase 2 (crash + recovery) runs untraced.
-  FinishTraceSession(session, report);
-
-  // --- Phase 2: silo crash, recover from the WAL, check invariants. This
-  // verifies that kill/reactivate cycles and message faults left a log from
-  // which the committed prefix is still exactly recoverable.
-  rt.reset();
-  Status crash_status = env.Crash(/*tear_bytes=*/0);
-  if (!crash_status.ok()) {
-    report.violation = "Crash(): " + crash_status.ToString();
-    return report;
-  }
-
-  SnapperRuntime recovered(config, &env);
-  const uint32_t rtype = smallbank::RegisterSmallBank(recovered);
-  auto recovery = recovered.Recover();
-  if (!recovery.ok()) {
-    report.violation = "Recover(): " + recovery.status().ToString();
-    return report;
-  }
-  recovered.Start();
-  // Crash-recovery cost on top of the in-round reactivations above.
-  const auto& rec_counters = recovered.context().counters;
-  report.recovery_replay_records += rec_counters.recovery_replay_records.load();
-  report.recovery_time_us += rec_counters.recovery_time_us.load();
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  std::vector<double> balance(num_accounts, 0);
-  for (int a = 0; a < num_accounts; ++a) {
-    TxnResult r =
-        recovered.RunNt(ActorId{rtype, static_cast<uint64_t>(a)}, "Balance",
-                        Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    balance[a] = r.value.AsDouble();
-    total += balance[a];
-  }
-  report.total_balance = total;
-
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  for (int i = 0; i < options.num_txns; ++i) {
-    const double b = balance[options.num_roots + i];
-    const bool durable = std::fabs(b - (kPerAccount + options.amount)) <= kEps;
-    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
-    const Status& s = outcomes[i];
-    const char* kind = is_act[i] ? "ACT" : "PACT";
-    if (!durable && !invisible) {
-      violations << kind << " txn " << i << ": unexplained balance " << b
-                 << "; ";
-    } else if (s.ok() && !durable) {
-      violations << kind << " txn " << i
-                 << ": acked committed but not durable; ";
-    } else if (IsDeterministicActorAbort(s) && !invisible) {
-      violations << kind << " txn " << i << ": acked abort (" << s.ToString()
-                 << ") but effects durable; ";
-    }
-  }
-  report.violation = violations.str();
-  return report;
-}
-
-ActorChaosReport RunOtxnActorChaos(const ActorChaosOptions& options) {
-  ActorChaosReport report;
-  Rng rng(options.seed);
-
-  MemEnv env;
-  otxn::OtxnConfig config;
-  config.num_workers = 2;
-  config.num_loggers = 2;
-  config.seed = options.seed;
-  config.wal_segment_bytes = options.wal_segment_bytes;
-  config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
-  const int num_accounts = options.num_roots + options.num_txns;
-  report.expected_total = kPerAccount * num_accounts;
-
-  // Declared before the runtime; see RunSnapperActorChaos.
-  std::unique_ptr<trace::TraceSession> session;
-  if (!OpenTraceSession(options, report, &session)) return report;
-
-  auto rt = std::make_unique<otxn::OtxnRuntime>(config, &env);
-  const uint32_t type =
-      rt->RegisterActorType("SmallBankAccount", [](uint64_t) {
-        return std::make_shared<smallbank::SmallBankLogic<otxn::OtxnActor>>();
-      });
-
-  auto& faults = rt->runtime().msg_faults();
-  ArmMessageFaults(faults, options);
-
-  std::vector<Future<TxnResult>> futures;
-  futures.reserve(options.num_txns);
-  const int kill_at = std::max(1, options.num_txns / 3);
-  for (int i = 0; i < options.num_txns; ++i) {
-    if (i == kill_at) {
-      for (int k = 0; k < options.num_kills; ++k) {
-        // coro-lint: allow(discarded-task) — chaos kill is fire-and-forget
-        rt->KillActor(ActorId{type, rng.Uniform(num_accounts)});
-      }
-    }
-    const uint64_t from = rng.Uniform(options.num_roots);
-    const uint64_t to = options.num_roots + i;
-    futures.push_back(
-        rt->Submit(ActorId{type, from}, "MultiTransfer",
-                   smallbank::MultiTransferInput(options.amount, {to})));
-  }
-
-  auto gate = std::make_shared<Gate>();
-  WhenAll(futures).OnReady([gate]() {
-    MutexLock lock(&gate->mu);
-    gate->done = true;
-    gate->cv.NotifyAll();
-  });
-  {
-    MutexLock lock(&gate->mu);
-    const bool resolved = gate->cv.WaitFor(
-        gate->mu, std::chrono::duration<double>(options.watchdog_seconds),
-        [&gate]() REQUIRES(gate->mu) { return gate->done; });
-    if (!resolved) {
-      for (const auto& f : futures) {
-        if (!f.ready()) report.unresolved++;
-      }
-      std::ostringstream os;
-      os << "hang: " << report.unresolved << "/" << options.num_txns
-         << " futures unresolved after " << options.watchdog_seconds << "s";
-      report.violation = os.str();
-      CopyFaultCounters(faults, report);
-      if (session != nullptr) {
-        session->Detach();
-        report.trace_turns = session->turn_count();
-        report.trace_divergence = session->divergence();
-        session.release();  // leaked with the runtime, see above
-      }
-      rt.release();  // deliberate leak, see RunSmallBankChaos
-      return report;
-    }
-  }
-
-  // The TA decides every transaction before its ack, so there is no
-  // in-doubt class here: acked OK must be durable, anything else invisible.
-  std::vector<Status> outcomes;
-  outcomes.reserve(options.num_txns);
-  for (const auto& f : futures) {
-    outcomes.push_back(f.Peek().status);
-    if (outcomes.back().ok()) {
-      report.committed++;
-    } else {
-      report.aborted++;
-    }
-  }
-
-  faults.ClearFaults();
-  CopyFaultCounters(faults, report);
-
-  // End of the traced window: the kill-all sweep below retries Balance on a
-  // wall-clock schedule the trace cannot reproduce. actor_kills is still 0
-  // in the report here (otxn kill acks are fire-and-forget); it is recorded
-  // as 0 on capture and compared against 0 on replay — vacuous but
-  // harmless, and keeps one counter set across both stacks.
-  FinishTraceSession(session, report);
-
-  // --- Final kill-all: every account's state must rebuild purely from the
-  // WAL plus the TA's decision table. This also clears any residue of
-  // dropped Commit/Abort messages (stale dirty-write stacks, stuck locks).
-  for (int a = 0; a < num_accounts; ++a) {
-    // coro-lint: allow(discarded-task) — chaos kill is fire-and-forget
-    rt->KillActor(ActorId{type, static_cast<uint64_t>(a)});
-  }
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  std::vector<double> balance(num_accounts, 0);
-  for (int a = 0; a < num_accounts; ++a) {
-    // Reactivation is asynchronous and rejects reads until the WAL replay
-    // finishes; retry with a bound.
-    TxnResult r;
-    for (int attempt = 0; attempt < 500; ++attempt) {
-      r = rt->Run(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                  Value(ValueMap{}));
-      if (r.ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    balance[a] = r.value.AsDouble();
-    total += balance[a];
-  }
-  report.total_balance = total;
-
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  for (int i = 0; i < options.num_txns; ++i) {
-    const double b = balance[options.num_roots + i];
-    const bool durable = std::fabs(b - (kPerAccount + options.amount)) <= kEps;
-    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
-    if (outcomes[i].ok() && !durable) {
-      violations << "otxn txn " << i << ": acked committed but not durable"
-                 << " (balance " << b << "); ";
-    } else if (!outcomes[i].ok() && !invisible) {
-      violations << "otxn txn " << i << ": acked abort ("
-                 << outcomes[i].ToString() << ") but balance " << b << "; ";
-    }
-  }
-
-  report.retired_activations = rt->runtime().num_retired();
-  DrainCheckpoints(rt->log_manager());
-  rt->SyncWalCounters();
-  report.actor_kills = rt->counters().actor_kills.load();
-  report.reactivations = rt->counters().reactivations.load();
-  report.reactivation_us = rt->counters().reactivation_us.load();
-  report.watchdog_act_aborts = rt->counters().watchdog_act_aborts.load();
-  report.watchdog_act_resolutions =
-      rt->counters().watchdog_act_resolutions.load();
-  report.checkpoints_taken = rt->counters().checkpoints_taken.load();
-  report.checkpoint_lag_bytes = rt->counters().checkpoint_lag_bytes.load();
-  report.wal_segments_truncated =
-      rt->counters().wal_segments_truncated.load();
-  report.wal_bytes_truncated = rt->counters().wal_bytes_truncated.load();
-  report.recovery_replay_records =
-      rt->counters().recovery_replay_records.load();
-  report.recovery_time_us = rt->counters().recovery_time_us.load();
-
-  report.violation = violations.str();
-  return report;
+  CloseTraceSession(session, report);
 }
 
 }  // namespace
@@ -771,7 +356,74 @@ ActorChaosReport RunSmallBankActorChaos(const ActorChaosOptions& options) {
           dir, opts.use_otxn ? "otxn" : "snapper", opts.seed);
     }
   }
-  return opts.use_otxn ? RunOtxnActorChaos(opts) : RunSnapperActorChaos(opts);
+
+  ActorChaosReport report;
+  Rng rng(opts.seed);
+  const int num_accounts = opts.num_roots + opts.num_txns;
+  report.expected_total = kPerAccount * num_accounts;
+
+  // Healthy storage; no storage faults are armed. Snapper runs over the
+  // FaultInjectionEnv wrapper only for the silo crash of its final rebuild.
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+
+  // Declared before the runtime: in-flight turns may still be inside hook
+  // calls until the workers park, so the session must be destroyed last.
+  std::unique_ptr<trace::TraceSession> session;
+  if (!OpenTraceSession(opts, report, &session)) return report;
+
+  std::unique_ptr<SmallBankStack> stack;
+  if (opts.use_otxn) {
+    otxn::OtxnConfig config;
+    config.num_workers = 2;
+    config.num_loggers = 2;
+    config.seed = opts.seed;
+    config.wal_segment_bytes = opts.wal_segment_bytes;
+    config.checkpoint_threshold_bytes = opts.checkpoint_threshold_bytes;
+    stack = MakeOtxnStack(config, &base);
+  } else {
+    SnapperConfig config = ChaosConfig(opts.seed);
+    config.batch_deadline = opts.batch_deadline;
+    config.act_resolution_deadline = opts.act_resolution_deadline;
+    config.wal_segment_bytes = opts.wal_segment_bytes;
+    config.checkpoint_threshold_bytes = opts.checkpoint_threshold_bytes;
+    stack = MakeSnapperStack(config, &env, &env);
+  }
+  MessageFaultInjector& faults = stack->runtime().msg_faults();
+  ArmMessageFaults(faults, opts);
+
+  TransferRound round =
+      SubmitTransfers(*stack, rng, opts.num_roots, opts.num_txns,
+                      opts.act_fraction, opts.amount, opts.num_kills);
+  report.violation =
+      AwaitRound(round, opts.watchdog_seconds, &report.unresolved);
+  if (!report.violation.empty()) {
+    // A hang report without the watchdog / checkpoint numbers is
+    // undebuggable after the fact.
+    ReadRoundCounters(*stack, report);
+    CloseTraceSession(session.get(), report);
+    LeakHungStack(std::move(stack), std::move(session));
+    return report;
+  }
+  Tally(*stack, round, report);
+
+  faults.ClearFaults();
+  report.retired_activations = stack->runtime().num_retired();
+  DrainCheckpoints(stack->log_manager());
+  ReadRoundCounters(*stack, report);
+  // End of the traced window: the rebuild runs untraced (otxn's balance
+  // audit retries on a wall-clock schedule a trace cannot reproduce).
+  FinishTraceSession(session.get(), report);
+
+  // Rebuild every account from the WAL alone. This verifies that
+  // kill/reactivate cycles and message faults left a log from which the
+  // committed prefix is still exactly recoverable.
+  report.violation = stack->Rebuild(num_accounts, /*tear_bytes=*/0);
+  if (!report.violation.empty()) return report;
+  AuditRound(*stack, round, opts.num_roots, opts.amount, report);
+  report.recovery_replay_records += stack->rebuild_replay_records();
+  report.recovery_time_us += stack->rebuild_replay_us();
+  return report;
 }
 
 // ---------------------------------------------------------------------------
@@ -796,164 +448,70 @@ std::string BoundedRecoveryReport::ToJson() const {
   return os.str();
 }
 
-namespace {
-
-/// Live WAL bytes: the sum of every surviving segment's synced size.
-/// Compared against LogManager::TotalBytes() (bytes ever written) to prove
-/// truncation physically reclaimed the prefix.
-uint64_t WalBytesOnDisk(Env& env) {
-  uint64_t total = 0;
-  for (const auto& name : env.ListFiles()) {
-    size_t logger = 0;
-    uint64_t seq = 0;
-    if (!ParseWalFileName(name, &logger, &seq)) continue;
-    std::string content;
-    if (env.ReadFile(name, &content).ok()) total += content.size();
-  }
-  return total;
-}
-
-}  // namespace
-
 BoundedRecoveryReport RunBoundedRecovery(const BoundedRecoveryOptions& options) {
   BoundedRecoveryReport report;
   Rng rng(options.seed);
   report.expected_total = kPerAccount * options.num_accounts;
-  std::ostringstream violations;
-  violations.precision(15);
 
-  // The pool is fixed so every actor keeps writing and crosses the
-  // checkpoint threshold; with one-shot receivers (the chaos rounds'
-  // decodable traffic) the coldest actor would never checkpoint and the
-  // truncation floor could never advance.
-  const size_t threshold =
-      options.enable_checkpointing ? options.checkpoint_threshold_bytes : 0;
-  const auto pick_pair = [&rng, &options](uint64_t* from, uint64_t* to) {
-    *from = rng.Uniform(options.num_accounts);
-    *to = rng.Uniform(options.num_accounts);
-    if (*to == *from) *to = (*to + 1) % options.num_accounts;
-  };
-
-  double total = 0;
-  if (!options.use_otxn) {
-    MemEnv env;
+  MemEnv env;
+  std::unique_ptr<SmallBankStack> stack;
+  if (options.use_otxn) {
+    otxn::OtxnConfig config;
+    config.num_workers = 2;
+    config.num_loggers = 2;
+    config.seed = options.seed;
+    config.wal_segment_bytes = options.wal_segment_bytes;
+    config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
+    stack = MakeOtxnStack(config, &env);
+  } else {
     SnapperConfig config;
     config.num_workers = 2;
     config.num_coordinators = 2;
     config.num_loggers = 2;
     config.seed = options.seed;
     config.wal_segment_bytes = options.wal_segment_bytes;
-    config.checkpoint_threshold_bytes = threshold;
-    SnapperRuntime rt(config, &env);
-    const uint32_t type = smallbank::RegisterSmallBank(rt);
-    rt.Start();
-    for (int i = 0; i < options.num_txns; ++i) {
-      uint64_t from = 0, to = 0;
-      pick_pair(&from, &to);
-      TxnResult r =
-          rt.SubmitAct(ActorId{type, from}, "MultiTransfer",
-                       smallbank::MultiTransferInput(options.amount, {to}))
-              .Get();
-      if (r.ok()) {
-        report.committed++;
-      } else {
-        report.aborted++;
-      }
-    }
-    // Let trailing checkpoint requests / segment truncation drain.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-    const ActorId victim{type, 0};
-    rt.KillActor(victim).Get();
-    for (int a = 0; a < options.num_accounts; ++a) {
-      TxnResult r;
-      for (int attempt = 0; attempt < 500; ++attempt) {
-        r = rt.RunNt(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                     Value(ValueMap{}));
-        if (r.ok()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (!r.ok()) {
-        violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                   << "; ";
-        continue;
-      }
-      total += r.value.AsDouble();
-    }
-    rt.SyncWalCounters();
-    const auto& c = rt.context().counters;
-    report.checkpoints_taken = c.checkpoints_taken.load();
-    report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
-    report.wal_segments_truncated = c.wal_segments_truncated.load();
-    report.wal_bytes_truncated = c.wal_bytes_truncated.load();
-    report.recovery_replay_records = c.recovery_replay_records.load();
-    report.recovery_time_us = c.recovery_time_us.load();
-    report.wal_bytes_written = rt.log_manager().TotalBytes();
-    report.wal_bytes_on_disk = WalBytesOnDisk(env);
-  } else {
-    MemEnv env;
-    otxn::OtxnConfig config;
-    config.num_workers = 2;
-    config.num_loggers = 2;
-    config.seed = options.seed;
-    config.wal_segment_bytes = options.wal_segment_bytes;
-    config.checkpoint_threshold_bytes = threshold;
-    otxn::OtxnRuntime rt(config, &env);
-    const uint32_t type =
-        rt.RegisterActorType("SmallBankAccount", [](uint64_t) {
-          return std::make_shared<
-              smallbank::SmallBankLogic<otxn::OtxnActor>>();
-        });
-    for (int i = 0; i < options.num_txns; ++i) {
-      uint64_t from = 0, to = 0;
-      pick_pair(&from, &to);
-      TxnResult r = rt.Run(ActorId{type, from}, "MultiTransfer",
-                           smallbank::MultiTransferInput(options.amount, {to}));
-      if (r.ok()) {
-        report.committed++;
-      } else {
-        report.aborted++;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-    // coro-lint: allow(discarded-task) — fail-stop kill is fire-and-forget
-    rt.KillActor(ActorId{type, 0});
-    for (int a = 0; a < options.num_accounts; ++a) {
-      TxnResult r;
-      for (int attempt = 0; attempt < 500; ++attempt) {
-        r = rt.Run(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                   Value(ValueMap{}));
-        if (r.ok()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (!r.ok()) {
-        violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                   << "; ";
-        continue;
-      }
-      total += r.value.AsDouble();
-    }
-    rt.SyncWalCounters();
-    report.checkpoints_taken = rt.counters().checkpoints_taken.load();
-    report.checkpoint_lag_bytes = rt.counters().checkpoint_lag_bytes.load();
-    report.wal_segments_truncated =
-        rt.counters().wal_segments_truncated.load();
-    report.wal_bytes_truncated = rt.counters().wal_bytes_truncated.load();
-    report.recovery_replay_records =
-        rt.counters().recovery_replay_records.load();
-    report.recovery_time_us = rt.counters().recovery_time_us.load();
-    report.wal_bytes_written = rt.log_manager().TotalBytes();
-    report.wal_bytes_on_disk = WalBytesOnDisk(env);
+    config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
+    stack = MakeSnapperStack(config, &env);
   }
-  report.total_balance = total;
 
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
+  // The pool is fixed so every actor keeps writing and crosses the
+  // checkpoint threshold; with one-shot receivers (the chaos rounds'
+  // decodable traffic) the coldest actor would never checkpoint and the
+  // truncation floor could never advance.
+  for (int i = 0; i < options.num_txns; ++i) {
+    const uint64_t from = rng.Uniform(options.num_accounts);
+    uint64_t to = rng.Uniform(options.num_accounts);
+    if (to == from) to = (to + 1) % options.num_accounts;
+    const TxnResult r =
+        stack->Submit(stack->Transfer(from, to, options.amount, /*act=*/true))
+            .Get();
+    (r.ok() ? report.committed : report.aborted)++;
   }
-  if (options.enable_checkpointing) {
-    // The bounded-recovery contract (in-harness, per ISSUE acceptance).
+  // Let trailing checkpoint requests / segment truncation drain.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  if (Future<Unit> ack = stack->Kill(0); ack.valid()) ack.Get();
+  std::ostringstream violations;
+  report.total_balance =
+      AuditBalances(*stack, options.num_accounts, nullptr, violations);
+  const MessageCounters& c = stack->Counters();
+  report.checkpoints_taken = c.checkpoints_taken.load();
+  report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
+  report.wal_segments_truncated = c.wal_segments_truncated.load();
+  report.wal_bytes_truncated = c.wal_bytes_truncated.load();
+  report.recovery_replay_records = c.recovery_replay_records.load();
+  report.recovery_time_us = c.recovery_time_us.load();
+  report.wal_bytes_written = stack->log_manager().TotalBytes();
+  // Live segment bytes: proves truncation physically reclaimed the prefix.
+  for (const WalSegment& segment : ListWalSegments(env)) {
+    std::string content;
+    if (env.ReadFile(segment.name, &content).ok()) {
+      report.wal_bytes_on_disk += content.size();
+    }
+  }
+
+  if (options.checkpoint_threshold_bytes > 0) {
+    // The bounded-recovery contract.
     if (report.checkpoints_taken == 0) {
       violations << "checkpointing enabled but no checkpoint was taken; ";
     }

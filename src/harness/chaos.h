@@ -111,7 +111,6 @@ struct ActorChaosOptions {
   // Liveness deadlines (Snapper rounds; 0 disables).
   std::chrono::milliseconds batch_deadline{250};
   std::chrono::milliseconds act_resolution_deadline{100};
-  std::chrono::milliseconds txn_deadline{0};
 
   double watchdog_seconds = 20.0;
   bool use_otxn = false;  ///< run the OrleansTxn baseline instead of Snapper
@@ -136,6 +135,11 @@ struct ActorChaosOptions {
   std::string replay_trace_path;
 };
 
+/// Counters are read by one rule on both stacks: a snapshot at the end of
+/// the round — every future resolved, trailing checkpoint turns drained,
+/// before the final rebuild — plus, in recovery_replay_records and
+/// recovery_time_us, the WAL replay cost of that rebuild (Snapper's crash
+/// recovery; otxn's reactivation of every account by the balance audit).
 struct ActorChaosReport {
   int committed = 0;   ///< acked OK
   int aborted = 0;     ///< acked deterministic abort (incl. actor-failed)
@@ -152,7 +156,6 @@ struct ActorChaosReport {
   uint64_t watchdog_batch_aborts = 0;
   uint64_t watchdog_act_aborts = 0;
   uint64_t watchdog_act_resolutions = 0;
-  uint64_t txn_deadline_aborts = 0;
   uint64_t msgs_total = 0;
   uint64_t msgs_dropped = 0;
   uint64_t msgs_duplicated = 0;
@@ -163,7 +166,7 @@ struct ActorChaosReport {
   uint64_t checkpoint_lag_bytes = 0;     ///< end-of-round gauge
   uint64_t wal_segments_truncated = 0;
   uint64_t wal_bytes_truncated = 0;
-  uint64_t recovery_replay_records = 0;  ///< reactivations + crash recovery
+  uint64_t recovery_replay_records = 0;  ///< reactivations + final rebuild
   uint64_t recovery_time_us = 0;
 
   double total_balance = 0;
@@ -200,7 +203,7 @@ ActorChaosReport RunSmallBankActorChaos(const ActorChaosOptions& options);
 struct BoundedRecoveryOptions {
   uint64_t seed = 1;
   bool use_otxn = false;           ///< run the OrleansTxn baseline
-  bool enable_checkpointing = true;
+  /// 0 disables checkpointing, and with it the checkpoint assertions.
   size_t checkpoint_threshold_bytes = 1024;
   size_t wal_segment_bytes = 2048;
   int num_accounts = 4;            ///< fixed pool; transfers stay inside it

@@ -67,7 +67,6 @@ std::string FaultToleranceJson(const MessageCounters& counters) {
      << ",\"watchdog_act_aborts\":" << counters.watchdog_act_aborts.load()
      << ",\"watchdog_act_resolutions\":"
      << counters.watchdog_act_resolutions.load()
-     << ",\"txn_deadline_aborts\":" << counters.txn_deadline_aborts.load()
      << ",\"recovery_time_us\":" << counters.recovery_time_us.load()
      << ",\"recovery_replay_records\":"
      << counters.recovery_replay_records.load()

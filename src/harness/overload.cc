@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -13,10 +12,8 @@
 #include "harness/chaos.h"
 #include "harness/client.h"
 #include "harness/metrics.h"
-#include "otxn/otxn_runtime.h"
-#include "snapper/snapper_runtime.h"
+#include "harness/smallbank_stack.h"
 #include "trace/trace_session.h"
-#include "workloads/smallbank.h"
 
 namespace snapper::harness {
 namespace {
@@ -38,10 +35,6 @@ std::unique_ptr<trace::TraceSession> OpenRampCapture(const std::string& label,
 
 using Clock = std::chrono::steady_clock;
 
-constexpr double kPerAccount =
-    smallbank::kInitialChecking + smallbank::kInitialSavings;
-constexpr double kEps = 1e-6;
-
 /// Completion classifier shared by every ramp submission's continuation,
 /// and the drain watchdog's wait state. Lock-free: continuations run on the
 /// hot commit path (TA strand / worker threads) while the pacer resolves
@@ -60,27 +53,26 @@ struct RampGate {
   std::atomic<uint64_t> aborted{0};
   std::atomic<uint64_t> overloaded{0};
   std::atomic<uint64_t> other{0};
+
+  void Classify(const Status& status) {
+    if (status.ok()) {
+      committed.fetch_add(1, std::memory_order_relaxed);
+    } else if (status.IsOverloaded()) {
+      overloaded.fetch_add(1, std::memory_order_relaxed);
+    } else if (status.IsTxnAborted()) {
+      aborted.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      other.fetch_add(1, std::memory_order_relaxed);
+    }
+    resolved.fetch_add(1, std::memory_order_release);
+  }
 };
 
-struct RampOutcome {
-  double peak_tps = 0;
-  double offered_tps = 0;
-  double ramp_goodput_tps = 0;
-  uint64_t submitted = 0;
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  uint64_t overloaded = 0;
-  uint64_t other = 0;
-  uint64_t unresolved = 0;
-  bool hang = false;
-};
-
-/// Phases 1-3 (calibrate, ramp, drain), stack-agnostic: both stacks plug in
-/// via the harness GeneratorFn/SubmitFn pair.
-RampOutcome RunRampCore(const OverloadRampOptions& options,
-                        const GeneratorFn& generate, const SubmitFn& submit) {
-  RampOutcome out;
-
+/// Phases 1-3 (calibrate, ramp, drain) into `report`; returns false on a
+/// drain-watchdog hang.
+bool RunRampCore(const OverloadRampOptions& options,
+                 const GeneratorFn& generate, const SubmitFn& submit,
+                 OverloadRampReport& report) {
   // --- Phase 1: closed-loop calibration. Total in-flight stays at half the
   // admission budget, so the peak is measured shed-free. Two independent
   // windows, combined asymmetrically:
@@ -104,8 +96,8 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
   ClientConfig calibrate2 = calibrate;
   calibrate2.seed = Rng::Derive(options.seed, 0xca12);
   const BenchResult bench2 = RunBench(calibrate2, generate, submit);
-  out.peak_tps = std::min(bench.Throughput(), bench2.Throughput());
-  if (out.peak_tps <= 0) return out;  // wrapper turns this into a violation
+  report.peak_tps = std::min(bench.Throughput(), bench2.Throughput());
+  if (report.peak_tps <= 0) return true;  // a violation, not a hang
 
   // --- Phase 2: open-loop ramp. Submissions are paced at offered_tps and
   // never wait for completions; classification happens in continuations.
@@ -115,8 +107,8 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
            b.seconds_measured;
   };
   const double resolved_rate =
-      std::max({out.peak_tps, resolved_of(bench), resolved_of(bench2)});
-  out.offered_tps = resolved_rate * options.overload_factor;
+      std::max({report.peak_tps, resolved_of(bench), resolved_of(bench2)});
+  report.offered_tps = resolved_rate * options.overload_factor;
 
   // Pre-generate the ramp's request trace: open-loop methodology runs a
   // precomputed workload so the pacer's in-window cost is submission +
@@ -127,64 +119,40 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
   // on fast hosts) the pacer falls back to generating inline.
   const size_t trace_size = std::min<size_t>(
       1 << 18,
-      static_cast<size_t>(out.offered_tps * options.ramp_seconds * 1.1) + 1);
+      static_cast<size_t>(report.offered_tps * options.ramp_seconds * 1.1) +
+          1);
   Rng rng(Rng::Derive(options.seed, 0x0afd));
   std::vector<TxnRequest> trace;
   trace.reserve(trace_size);
   for (size_t i = 0; i < trace_size; ++i) trace.push_back(generate(rng));
 
   auto gate = std::make_shared<RampGate>();
-  const auto classify = [&gate](const TxnResult& result) {
-    const Status& status = result.status;
-    if (status.ok()) {
-      gate->committed.fetch_add(1, std::memory_order_relaxed);
-    } else if (status.IsOverloaded()) {
-      gate->overloaded.fetch_add(1, std::memory_order_relaxed);
-    } else if (status.IsTxnAborted()) {
-      gate->aborted.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      gate->other.fetch_add(1, std::memory_order_relaxed);
-    }
-    gate->resolved.fetch_add(1, std::memory_order_release);
-  };
   const auto ramp_start = Clock::now();
   const auto ramp_length = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(options.ramp_seconds));
   auto last = ramp_start;
   double carry = 0;
+  uint64_t submitted = 0;
   while (true) {
     const auto now = Clock::now();
     if (now - ramp_start >= ramp_length) break;
     carry +=
-        out.offered_tps * std::chrono::duration<double>(now - last).count();
+        report.offered_tps * std::chrono::duration<double>(now - last).count();
     last = now;
     auto burst = static_cast<uint64_t>(carry);
     carry -= static_cast<double>(burst);
     for (uint64_t i = 0; i < burst; ++i) {
       Future<TxnResult> future =
-          submit(out.submitted < trace.size()
-                     ? std::move(trace[out.submitted])
-                     : generate(rng));
-      out.submitted++;
+          submit(submitted < trace.size() ? std::move(trace[submitted])
+                                          : generate(rng));
+      submitted++;
       // Sheds (and any other already-resolved submission) classify inline —
       // no continuation allocation on the saturated path.
       if (future.ready()) {
-        classify(future.Peek());
+        gate->Classify(future.Peek().status);
       } else {
-        future.OnReady([gate, future]() {
-          const TxnResult result = future.Peek();
-          const Status& status = result.status;
-          if (status.ok()) {
-            gate->committed.fetch_add(1, std::memory_order_relaxed);
-          } else if (status.IsOverloaded()) {
-            gate->overloaded.fetch_add(1, std::memory_order_relaxed);
-          } else if (status.IsTxnAborted()) {
-            gate->aborted.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            gate->other.fetch_add(1, std::memory_order_relaxed);
-          }
-          gate->resolved.fetch_add(1, std::memory_order_release);
-        });
+        future.OnReady(
+            [gate, future]() { gate->Classify(future.Peek().status); });
       }
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -194,7 +162,6 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
   // (typed, synchronously); admitted work must complete in bounded time.
   // Polls the lock-free gate (see RampGate) instead of blocking on a
   // condvar, so completions never pay a wakeup.
-  const uint64_t submitted = out.submitted;
   const auto drain_deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(
@@ -204,36 +171,18 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const uint64_t resolved = gate->resolved.load(std::memory_order_acquire);
-  out.committed = gate->committed.load(std::memory_order_relaxed);
-  out.aborted = gate->aborted.load(std::memory_order_relaxed);
-  out.overloaded = gate->overloaded.load(std::memory_order_relaxed);
-  out.other = gate->other.load(std::memory_order_relaxed);
-  out.unresolved = submitted - resolved;
-  out.hang = resolved < submitted;
-  out.ramp_goodput_tps =
-      static_cast<double>(out.committed) / options.ramp_seconds;
-  return out;
+  report.submitted = submitted;
+  report.committed = gate->committed.load(std::memory_order_relaxed);
+  report.aborted = gate->aborted.load(std::memory_order_relaxed);
+  report.overloaded = gate->overloaded.load(std::memory_order_relaxed);
+  report.other_failures = gate->other.load(std::memory_order_relaxed);
+  report.unresolved = submitted - resolved;
+  report.ramp_goodput_tps =
+      static_cast<double>(report.committed) / options.ramp_seconds;
+  return resolved == submitted;
 }
 
-void FillReport(const RampOutcome& out, OverloadRampReport& report) {
-  report.peak_tps = out.peak_tps;
-  report.offered_tps = out.offered_tps;
-  report.ramp_goodput_tps = out.ramp_goodput_tps;
-  report.submitted = out.submitted;
-  report.committed = out.committed;
-  report.aborted = out.aborted;
-  report.overloaded = out.overloaded;
-  report.other_failures = out.other;
-  report.unresolved = out.unresolved;
-}
-
-size_t DerivedMailboxCapacity(const OverloadRampOptions& options) {
-  return options.mailbox_capacity != 0
-             ? options.mailbox_capacity
-             : 4 * (options.pact_tokens + options.act_tokens);
-}
-
-/// Stack-independent overload invariants; appended to `violations`.
+/// Overload invariants; appended to `violations`.
 void CheckOverloadInvariants(const OverloadRampOptions& options,
                              const OverloadRampReport& report,
                              std::ostringstream& violations) {
@@ -253,6 +202,15 @@ void CheckOverloadInvariants(const OverloadRampOptions& options,
     violations << "mailbox depth high-watermark " << report.max_mailbox_depth
                << " exceeds capacity " << report.mailbox_capacity << "; ";
   }
+  // The otxn TA strand is not an actor mailbox, but admission bounds it all
+  // the same: each in-flight transaction keeps O(1) turns queued there. 16x
+  // the budget is far above any legitimate watermark yet catches unbounded
+  // growth outright. (Snapper has no TA: its watermark stays 0.)
+  const size_t ta_bound = 16 * (options.pact_tokens + options.act_tokens);
+  if (report.max_ta_queue_depth > ta_bound) {
+    violations << "TA strand depth high-watermark " << report.max_ta_queue_depth
+               << " exceeds bound " << ta_bound << "; ";
+  }
   const double floor = options.goodput_floor * report.peak_tps;
   if (report.ramp_goodput_tps + kEps < floor) {
     violations << "goodput " << report.ramp_goodput_tps << " tps < floor "
@@ -261,12 +219,26 @@ void CheckOverloadInvariants(const OverloadRampOptions& options,
   }
 }
 
-OverloadRampReport RunSnapperOverloadRamp(const OverloadRampOptions& options) {
-  OverloadRampReport report;
-  const size_t capacity = DerivedMailboxCapacity(options);
-  report.mailbox_capacity = capacity;
-  report.expected_total = kPerAccount * options.num_accounts;
-
+std::unique_ptr<SmallBankStack> MakeRampStack(
+    const OverloadRampOptions& options, size_t mailbox_capacity) {
+  if (options.use_otxn) {
+    otxn::OtxnConfig config;
+    config.num_workers = 2;
+    config.num_loggers = 2;
+    config.seed = options.seed;
+    // Budget sized at the calibration operating point: phase 1 runs
+    // (pact_tokens + act_tokens) / 2 in flight, so admission pins the
+    // saturated occupancy at the same knee the peak was measured at. The
+    // single-TA-strand stack degrades steeply past its knee; a budget of the
+    // full token sum would let 2x the calibrated concurrency in and the
+    // goodput floor would measure a mis-sized budget, not overload behaviour
+    // (admission control's job is precisely to hold the good operating
+    // point).
+    config.max_inflight_txns =
+        std::max<size_t>(1, (options.pact_tokens + options.act_tokens) / 2);
+    config.mailbox_capacity = mailbox_capacity;
+    return MakeOtxnStack(config, nullptr);
+  }
   SnapperConfig config;
   config.num_workers = 2;
   config.num_coordinators = 2;
@@ -276,194 +248,8 @@ OverloadRampReport RunSnapperOverloadRamp(const OverloadRampOptions& options) {
   config.max_inflight_pacts = options.pact_tokens;
   config.max_inflight_acts = options.act_tokens;
   config.admission_degrade_threshold = options.degrade_threshold;
-  config.mailbox_capacity = capacity;
-
-  // Declared before the runtime so it is destroyed after it (in-flight
-  // turns may be inside hook calls until the workers park).
-  std::unique_ptr<trace::TraceSession> session =
-      OpenRampCapture("overload-snapper", options.seed, &report.trace_path);
-
-  // Leaked (released, not destroyed) if the drain watchdog expires: joining
-  // workers blocked on a hung future would turn the reported violation into
-  // a test binary timeout (same pattern as the chaos harness).
-  auto rt = std::make_unique<SnapperRuntime>(config);
-  const uint32_t type = smallbank::RegisterSmallBank(*rt);
-  rt->Start();
-
-  const int n = options.num_accounts;
-  GeneratorFn generate = [type, n, act_fraction = options.act_fraction,
-                          amount = options.amount](Rng& rng) {
-    const uint64_t from = rng.Uniform(n);
-    // Transfers stay inside the fixed account set so conservation holds.
-    const uint64_t to = (from + 1 + rng.Uniform(n - 1)) % n;
-    TxnRequest request;
-    request.root = ActorId{type, from};
-    request.method = "MultiTransfer";
-    request.input = smallbank::MultiTransferInput(amount, {to});
-    if (rng.NextDouble() < act_fraction) {
-      request.mode = TxnMode::kAct;
-    } else {
-      request.mode = TxnMode::kPact;
-      request.info = smallbank::SmallBankActor::MultiTransferAccessInfo(
-          type, from, {to});
-    }
-    return request;
-  };
-  SubmitFn submit = [&rt](TxnRequest request) {
-    if (request.mode == TxnMode::kAct) {
-      return rt->SubmitAct(request.root, std::move(request.method),
-                           std::move(request.input));
-    }
-    return rt->SubmitPact(request.root, std::move(request.method),
-                          std::move(request.input), std::move(request.info));
-  };
-
-  const RampOutcome out = RunRampCore(options, generate, submit);
-  FillReport(out, report);
-  report.admission = rt->admission().stats();
-  report.max_mailbox_depth = rt->runtime().MaxMailboxDepth();
-  report.mailbox_rejections = rt->runtime().mailbox_rejections();
-
-  if (out.hang) {
-    std::ostringstream os;
-    os << "hang: " << out.unresolved << "/" << out.submitted
-       << " ramp futures unresolved after " << options.watchdog_seconds
-       << "s";
-    report.violation = os.str();
-    if (session != nullptr) {
-      session->Detach();  // writes the partial trace for post-mortem
-      session.release();  // leaked with the runtime
-    }
-    rt.release();  // deliberate leak, see above
-    return report;
-  }
-  if (session != nullptr) session->Detach();
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  for (int a = 0; a < n; ++a) {
-    // NT reads bypass admission by design (they carry no transactional
-    // state), so the post-ramp audit cannot itself be shed.
-    TxnResult r = rt->RunNt(ActorId{type, static_cast<uint64_t>(a)},
-                            "Balance", Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    total += r.value.AsDouble();
-  }
-  report.total_balance = total;
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  CheckOverloadInvariants(options, report, violations);
-  report.violation = violations.str();
-  return report;
-}
-
-OverloadRampReport RunOtxnOverloadRamp(const OverloadRampOptions& options) {
-  OverloadRampReport report;
-  const size_t capacity = DerivedMailboxCapacity(options);
-  report.mailbox_capacity = capacity;
-  report.expected_total = kPerAccount * options.num_accounts;
-
-  otxn::OtxnConfig config;
-  config.num_workers = 2;
-  config.num_loggers = 2;
-  config.seed = options.seed;
-  // Budget sized at the calibration operating point: phase 1 runs
-  // (pact_tokens + act_tokens) / 2 in flight, so admission pins the
-  // saturated occupancy at the same knee the peak was measured at. The
-  // single-TA-strand stack degrades steeply past its knee; a budget of the
-  // full token sum would let 2x the calibrated concurrency in and the
-  // goodput floor would measure a mis-sized budget, not overload behaviour
-  // (admission control's job is precisely to hold the good operating
-  // point).
-  config.max_inflight_txns =
-      std::max<size_t>(1, (options.pact_tokens + options.act_tokens) / 2);
-  config.mailbox_capacity = capacity;
-
-  // Declared before the runtime; see RunSnapperOverloadRamp.
-  std::unique_ptr<trace::TraceSession> session =
-      OpenRampCapture("overload-otxn", options.seed, &report.trace_path);
-
-  auto rt = std::make_unique<otxn::OtxnRuntime>(config);
-  const uint32_t type =
-      rt->RegisterActorType("SmallBankAccount", [](uint64_t) {
-        return std::make_shared<smallbank::SmallBankLogic<otxn::OtxnActor>>();
-      });
-
-  const int n = options.num_accounts;
-  GeneratorFn generate = [type, n, amount = options.amount](Rng& rng) {
-    const uint64_t from = rng.Uniform(n);
-    const uint64_t to = (from + 1 + rng.Uniform(n - 1)) % n;
-    TxnRequest request;
-    request.root = ActorId{type, from};
-    request.method = "MultiTransfer";
-    request.input = smallbank::MultiTransferInput(amount, {to});
-    request.mode = TxnMode::kAct;
-    return request;
-  };
-  SubmitFn submit = [&rt](TxnRequest request) {
-    return rt->Submit(request.root, std::move(request.method),
-                      std::move(request.input));
-  };
-
-  const RampOutcome out = RunRampCore(options, generate, submit);
-  FillReport(out, report);
-  report.admission = rt->admission().stats();
-  report.max_mailbox_depth = rt->runtime().MaxMailboxDepth();
-  report.mailbox_rejections = rt->runtime().mailbox_rejections();
-  report.max_ta_queue_depth = rt->max_ta_queue_depth();
-
-  if (out.hang) {
-    std::ostringstream os;
-    os << "hang: " << out.unresolved << "/" << out.submitted
-       << " ramp futures unresolved after " << options.watchdog_seconds
-       << "s";
-    report.violation = os.str();
-    if (session != nullptr) {
-      session->Detach();  // writes the partial trace for post-mortem
-      session.release();  // leaked with the runtime
-    }
-    rt.release();  // deliberate leak, see RunSnapperOverloadRamp
-    return report;
-  }
-  if (session != nullptr) session->Detach();
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  for (int a = 0; a < n; ++a) {
-    TxnResult r = rt->Run(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                          Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    total += r.value.AsDouble();
-  }
-  report.total_balance = total;
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  // The TA strand is not an actor mailbox, but admission bounds it all the
-  // same: each in-flight transaction keeps O(1) turns queued there. 16x the
-  // budget is far above any legitimate watermark yet catches unbounded
-  // growth outright.
-  const size_t ta_bound = 16 * (options.pact_tokens + options.act_tokens);
-  if (report.max_ta_queue_depth > ta_bound) {
-    violations << "TA strand depth high-watermark " << report.max_ta_queue_depth
-               << " exceeds bound " << ta_bound << "; ";
-  }
-  CheckOverloadInvariants(options, report, violations);
-  report.violation = violations.str();
-  return report;
+  config.mailbox_capacity = mailbox_capacity;
+  return MakeSnapperStack(config, nullptr);
 }
 
 }  // namespace
@@ -491,8 +277,56 @@ std::string OverloadRampReport::ToJson() const {
 
 OverloadRampReport RunSmallBankOverloadRamp(
     const OverloadRampOptions& options) {
-  return options.use_otxn ? RunOtxnOverloadRamp(options)
-                          : RunSnapperOverloadRamp(options);
+  OverloadRampReport report;
+  report.mailbox_capacity =
+      options.mailbox_capacity != 0
+          ? options.mailbox_capacity
+          : 4 * (options.pact_tokens + options.act_tokens);
+  report.expected_total = kPerAccount * options.num_accounts;
+
+  // Declared before the runtime so it is destroyed after it (in-flight
+  // turns may be inside hook calls until the workers park).
+  std::unique_ptr<trace::TraceSession> session = OpenRampCapture(
+      options.use_otxn ? "overload-otxn" : "overload-snapper", options.seed,
+      &report.trace_path);
+  std::unique_ptr<SmallBankStack> stack =
+      MakeRampStack(options, report.mailbox_capacity);
+
+  const int n = options.num_accounts;
+  SmallBankStack* s = stack.get();
+  GeneratorFn generate = [s, n, act_fraction = options.act_fraction,
+                          amount = options.amount](Rng& rng) {
+    const uint64_t from = rng.Uniform(n);
+    // Transfers stay inside the fixed account set so conservation holds.
+    const uint64_t to = (from + 1 + rng.Uniform(n - 1)) % n;
+    const bool act = !s->has_pact() || rng.NextDouble() < act_fraction;
+    return s->Transfer(from, to, amount, act);
+  };
+  SubmitFn submit = [s](TxnRequest request) {
+    return s->Submit(std::move(request));
+  };
+
+  const bool drained = RunRampCore(options, generate, submit, report);
+  report.admission = stack->admission().stats();
+  report.max_mailbox_depth = stack->runtime().MaxMailboxDepth();
+  report.mailbox_rejections = stack->runtime().mailbox_rejections();
+  report.max_ta_queue_depth = stack->max_ta_queue_depth();
+  if (!drained) {
+    std::ostringstream os;
+    os << "hang: " << report.unresolved << "/" << report.submitted
+       << " ramp futures unresolved after " << options.watchdog_seconds
+       << "s";
+    report.violation = os.str();
+    LeakHungStack(std::move(stack), std::move(session));
+    return report;
+  }
+  if (session != nullptr) session->Detach();
+
+  std::ostringstream violations;
+  report.total_balance = AuditBalances(*stack, n, nullptr, violations);
+  CheckOverloadInvariants(options, report, violations);
+  report.violation = violations.str();
+  return report;
 }
 
 }  // namespace snapper::harness

@@ -45,7 +45,8 @@ struct OverloadRampOptions {
 
   /// Admission budgets (SnapperConfig::max_inflight_pacts / _acts; half
   /// their sum is the otxn budget — the calibration operating point, see
-  /// RunOtxnOverloadRamp). Must be > 0: the ramp exists to exercise them.
+  /// MakeRampStack in overload.cc). Must be > 0: the ramp exists to
+  /// exercise them.
   size_t pact_tokens = 64;
   size_t act_tokens = 32;
   double degrade_threshold = 0.75;

@@ -129,33 +129,15 @@ Task<void> OtxnActor::Reactivate() {
     const TimePoint scan_start = Now();
 
     // Replay this actor's records in append order. All of them live in one
-    // logger's stream (LoggerFor is a stable hash); the stream's segments
-    // concatenate in (logger, seq) order — never lexicographic, which would
-    // sort "wal-0-000001.log" before the legacy "wal-0.log". A checkpoint
-    // record resets the base state and discards the prepares before it:
-    // only the checkpoint-to-tail suffix is replayed. Files deleted by a
-    // racing truncation read as NotFound and are skipped — every state
-    // record they held is superseded by a later durable checkpoint.
-    struct WalFile {
-      size_t logger;
-      uint64_t seq;
-      std::string name;
-      bool operator<(const WalFile& o) const {
-        return logger != o.logger ? logger < o.logger : seq < o.seq;
-      }
-    };
-    std::vector<WalFile> files;
-    for (const auto& name : rt.env().ListFiles()) {
-      size_t logger = 0;
-      uint64_t seq = 0;
-      if (ParseWalFileName(name, &logger, &seq)) {
-        files.push_back(WalFile{logger, seq, name});
-      }
-    }
-    std::sort(files.begin(), files.end());
+    // logger's stream (LoggerFor is a stable hash), read segment by segment
+    // in ListWalSegments order. A checkpoint record resets the base state
+    // and discards the prepares before it: only the checkpoint-to-tail
+    // suffix is replayed. Files deleted by a racing truncation read as
+    // NotFound and are skipped — every state record they held is
+    // superseded by a later durable checkpoint.
     std::optional<Value> base;
     std::vector<std::pair<uint64_t, Value>> prepared;
-    for (const auto& f : files) {
+    for (const auto& f : ListWalSegments(rt.env())) {
       std::string content;
       if (!rt.env().ReadFile(f.name, &content).ok()) continue;
       LogCursor cursor(content);

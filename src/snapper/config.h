@@ -73,12 +73,6 @@ struct SnapperConfig {
   /// abort if the coordinator never logged a commit).
   std::chrono::milliseconds act_resolution_deadline{0};
 
-  /// Client-side transaction deadline (0 = off): Submit futures resolve
-  /// with a kSystemFailure abort after this long even if the transaction
-  /// machinery lost track of them entirely. Last-resort no-hang backstop
-  /// for fault-injection runs; the abort is in-doubt by construction.
-  std::chrono::milliseconds txn_deadline{0};
-
   /// Admission control (overload robustness; 0 = unlimited): in-flight
   /// budgets per submission class. A SubmitPact/SubmitAct that cannot take a
   /// token resolves immediately with a typed kOverloaded status instead of

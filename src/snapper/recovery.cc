@@ -14,30 +14,9 @@ Result<RecoveryResult> RecoveryManager::Run(Env* env) {
   const auto start = std::chrono::steady_clock::now();
   RecoveryResult result;
 
-  // Segments of one logger concatenate into a single stream in (logger,
-  // seq) order — never lexicographic: "wal-0-000001.log" < "wal-0.log"
-  // because '-' < '.', which would put segments before the legacy file.
-  struct WalFile {
-    size_t logger;
-    uint64_t seq;
-    std::string name;
-    bool operator<(const WalFile& o) const {
-      return logger != o.logger ? logger < o.logger : seq < o.seq;
-    }
-  };
-  std::vector<WalFile> files;
-  for (const auto& name : env->ListFiles()) {
-    size_t logger = 0;
-    uint64_t seq = 0;
-    if (ParseWalFileName(name, &logger, &seq)) {
-      files.push_back(WalFile{logger, seq, name});
-    }
-  }
-  std::sort(files.begin(), files.end());
-
   // Load every stream's valid record prefix, per segment.
   std::map<size_t, std::vector<LogRecord>> logs;
-  for (const auto& f : files) {
+  for (const auto& f : ListWalSegments(*env)) {
     std::string content;
     Status s = env->ReadFile(f.name, &content);
     if (s.IsNotFound()) continue;  // deleted by a racing truncation: covered

@@ -287,8 +287,7 @@ Future<TxnResult> SnapperRuntime::WithAdmission(
   }
   auto future = submit();
   // The token covers the submission until the client-visible future
-  // resolves — including deadline aborts, which stop the client from
-  // re-driving work the system has already lost track of.
+  // resolves.
   future.OnReady([this, cls]() { admission_.Release(cls); });
   return future;
 }
@@ -302,18 +301,6 @@ bool SnapperRuntime::WalDegraded() const {
   return trace::DecisionBool(trace::Site::kWalDegraded, physical);
 }
 
-Future<TxnResult> SnapperRuntime::WithTxnDeadline(Future<TxnResult> f) {
-  const auto deadline = context_.config.txn_deadline;
-  if (deadline.count() <= 0) return f;
-  TxnResult fallback;
-  fallback.status = Status::TxnAborted(AbortReason::kSystemFailure,
-                                       "txn deadline exceeded");
-  auto* counters = &context_.counters;
-  return AwaitWithFallback<TxnResult>(
-      runtime_->timers(), std::move(f), deadline, std::move(fallback),
-      [counters]() { counters->txn_deadline_aborts.fetch_add(1); });
-}
-
 Future<TxnResult> SnapperRuntime::SubmitPact(const ActorId& first,
                                              std::string method, Value input,
                                              ActorAccessInfo info) {
@@ -323,12 +310,12 @@ Future<TxnResult> SnapperRuntime::SubmitPact(const ActorId& first,
       AdmissionController::TxnClass::kPact,
       [&]() {
         FuncCall call{std::move(method), std::move(input)};
-        return WithTxnDeadline(runtime_->Call<TransactionalActor>(
+        return runtime_->Call<TransactionalActor>(
             first, [call = std::move(call),
                     info = std::move(info)](TransactionalActor& a) mutable {
               return a.StartTxn(TxnMode::kPact, std::move(call),
                                 std::move(info));
-            }));
+            });
       });
 }
 
@@ -340,10 +327,10 @@ Future<TxnResult> SnapperRuntime::SubmitAct(const ActorId& first,
       AdmissionController::TxnClass::kAct,
       [&]() {
         FuncCall call{std::move(method), std::move(input)};
-        return WithTxnDeadline(runtime_->Call<TransactionalActor>(
+        return runtime_->Call<TransactionalActor>(
             first, [call = std::move(call)](TransactionalActor& a) mutable {
               return a.StartTxn(TxnMode::kAct, std::move(call), {});
-            }));
+            });
       });
 }
 

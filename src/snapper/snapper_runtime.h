@@ -144,8 +144,6 @@ class SnapperRuntime {
   Future<TxnResult> WithAdmission(AdmissionController::TxnClass cls,
                                   std::function<Future<TxnResult>()> submit);
   bool WalDegraded() const;
-  /// Applies config.txn_deadline (if set) to a submission future.
-  Future<TxnResult> WithTxnDeadline(Future<TxnResult> f);
   /// Step 5 of KillActor: runs after the abort round; rescans the WAL and
   /// installs the actor's recovered state into the fresh activation.
   void ReactivateFromWal(const ActorId& id, uint64_t generation,

@@ -279,7 +279,6 @@ struct MessageCounters {
   std::atomic<uint64_t> watchdog_batch_aborts{0};
   std::atomic<uint64_t> watchdog_act_aborts{0};       ///< vote/ack deadlines
   std::atomic<uint64_t> watchdog_act_resolutions{0};  ///< stuck-2PC re-resolves
-  std::atomic<uint64_t> txn_deadline_aborts{0};
 
   // Checkpoint / bounded-recovery counters (see wal/checkpoint.h).
   std::atomic<uint64_t> recovery_time_us{0};  ///< summed WAL scan+replay time
@@ -304,7 +303,6 @@ struct MessageCounters {
     watchdog_batch_aborts = 0;
     watchdog_act_aborts = 0;
     watchdog_act_resolutions = 0;
-    txn_deadline_aborts = 0;
     recovery_time_us = 0;
     recovery_replay_records = 0;
     checkpoints_taken = 0;

@@ -54,6 +54,23 @@ bool ParseWalFileName(std::string_view name, size_t* logger, uint64_t* seq) {
   return true;
 }
 
+std::vector<WalSegment> ListWalSegments(Env& env) {
+  std::vector<WalSegment> segments;
+  for (std::string& name : env.ListFiles()) {
+    WalSegment s;
+    if (ParseWalFileName(name, &s.logger, &s.seq)) {
+      s.name = std::move(name);
+      segments.push_back(std::move(s));
+    }
+  }
+  std::sort(segments.begin(), segments.end(),
+            [](const WalSegment& a, const WalSegment& b) {
+              return a.logger != b.logger ? a.logger < b.logger
+                                          : a.seq < b.seq;
+            });
+  return segments;
+}
+
 CheckpointManager::CheckpointManager(Options options, Env* env)
     : options_(options), env_(env) {
   // Name-only: this lock is legitimately held across env IO on the

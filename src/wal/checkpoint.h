@@ -77,6 +77,16 @@ struct CheckpointStats {
 std::string WalSegmentFileName(size_t logger, uint64_t seq);
 bool ParseWalFileName(std::string_view name, size_t* logger, uint64_t* seq);
 
+struct WalSegment {
+  size_t logger = 0;
+  uint64_t seq = 0;
+  std::string name;
+};
+
+/// Every WAL file in `env`, in (logger, seq) order — the order in which one
+/// logger's segments concatenate into its stream. Other files are skipped.
+std::vector<WalSegment> ListWalSegments(Env& env);
+
 class CheckpointManager {
  public:
   struct Options {

@@ -142,14 +142,12 @@ LogManager::LogManager(Options options, Env* env, Executor* executor)
   // overwrites a file recovery still needs.
   std::vector<uint64_t> start_seq(options_.num_loggers, 1);
   std::vector<std::string> legacy;
-  for (const std::string& name : env->ListFiles()) {
-    size_t logger = 0;
-    uint64_t seq = 0;
-    if (!ParseWalFileName(name, &logger, &seq)) continue;
-    legacy.push_back(name);
-    if (logger < options_.num_loggers) {
-      start_seq[logger] = std::max(start_seq[logger], seq + 1);
+  for (WalSegment& segment : ListWalSegments(*env)) {
+    if (segment.logger < options_.num_loggers) {
+      start_seq[segment.logger] =
+          std::max(start_seq[segment.logger], segment.seq + 1);
     }
+    legacy.push_back(std::move(segment.name));
   }
   if (checkpoints_ != nullptr) {
     checkpoints_->RegisterLegacyFiles(std::move(legacy));

@@ -56,7 +56,7 @@ TEST(BoundedRecoveryTest, DisabledCheckpointingReplayGrowsLinearly) {
   for (int i = 0; i < 2; ++i) {
     BoundedRecoveryOptions options;
     options.seed = 31;
-    options.enable_checkpointing = false;
+    options.checkpoint_threshold_bytes = 0;  // checkpointing off
     options.num_txns = lengths[i];
     BoundedRecoveryReport report = RunBoundedRecovery(options);
     // Conservation etc. must still hold; only the checkpoint-specific

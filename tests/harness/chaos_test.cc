@@ -82,6 +82,27 @@ TEST(ChaosTest, RandomizedSeedSweepConservesBalances) {
   }
 }
 
+// Negative control for the shared checker: no fault is injected, but the
+// crash tears 1 MiB — every file's whole durable content — so acked commits
+// are lost and the round must be reported. A round that skipped the
+// crash/recover step, or a checker that cannot fail, would pass every sweep
+// in this file.
+TEST(ChaosTest, TornDurableLogFailsTheChecker) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    ChaosOptions options;
+    options.seed = seed;
+    options.inject_fault = false;
+    options.tear_bytes = 1 << 20;
+    ChaosReport report = RunSmallBankChaos(options);
+    EXPECT_GT(report.committed, 0)
+        << "seed=" << seed << " " << Describe(report);
+    EXPECT_FALSE(report.ok()) << "seed=" << seed;
+    EXPECT_NE(report.violation.find("acked committed but not durable"),
+              std::string::npos)
+        << "seed=" << seed << " " << Describe(report);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Actor-layer chaos (ISSUE: actor kills + message faults + watchdogs).
 // ---------------------------------------------------------------------------
@@ -162,8 +183,8 @@ TEST(ActorChaosTest, OtxnSeededSweep) {
     EXPECT_EQ(report.unresolved, 0) << "seed=" << options.seed;
     EXPECT_EQ(report.in_doubt, 0) << "seed=" << options.seed;
     EXPECT_GE(report.actor_kills, 1u) << "seed=" << options.seed;
-    // Includes the final kill-all: still one retirement per counted kill at
-    // most, so the registry bound holds here too.
+    // Same in-round snapshot as Snapper's (chaos.h): still one retirement
+    // per counted kill at most, so the registry bound holds here too.
     EXPECT_LE(report.retired_activations, report.actor_kills)
         << "seed=" << options.seed;
     checkpoints += report.checkpoints_taken;
@@ -256,7 +277,7 @@ TEST(ActorChaosTest, ReportJsonCarriesFaultCounters) {
         "\"actor_kills\":", "\"reactivations\":", "\"reactivation_us\":",
         "\"retired_activations\":",
         "\"watchdog_batch_aborts\":", "\"watchdog_act_aborts\":",
-        "\"watchdog_act_resolutions\":", "\"txn_deadline_aborts\":",
+        "\"watchdog_act_resolutions\":",
         "\"msgs_total\":", "\"msgs_dropped\":", "\"msgs_duplicated\":",
         "\"msgs_delayed\":", "\"total_balance\":", "\"expected_total\":",
         "\"ok\":"}) {

@@ -109,7 +109,6 @@ TEST(BenchResultTest, FaultToleranceJsonCarriesCounters) {
   counters.watchdog_batch_aborts.store(4);
   counters.watchdog_act_aborts.store(5);
   counters.watchdog_act_resolutions.store(6);
-  counters.txn_deadline_aborts.store(7);
   const std::string json = FaultToleranceJson(counters);
   EXPECT_NE(json.find("\"actor_kills\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"reactivations\":2"), std::string::npos) << json;
@@ -117,7 +116,6 @@ TEST(BenchResultTest, FaultToleranceJsonCarriesCounters) {
   EXPECT_NE(json.find("\"watchdog_batch_aborts\":4"), std::string::npos);
   EXPECT_NE(json.find("\"watchdog_act_aborts\":5"), std::string::npos);
   EXPECT_NE(json.find("\"watchdog_act_resolutions\":6"), std::string::npos);
-  EXPECT_NE(json.find("\"txn_deadline_aborts\":7"), std::string::npos);
 }
 
 TEST(SmallBankGeneratorTest, ProducesDistinctActorsAndValidInfo) {

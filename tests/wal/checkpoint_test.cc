@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,6 +76,22 @@ TEST(WalFileNameTest, LexicographicOrderWouldMisorderSegments) {
   ASSERT_TRUE(ParseWalFileName(legacy, &ll, &lseq));
   ASSERT_TRUE(ParseWalFileName(segment, &sl, &sseq));
   EXPECT_LT(lseq, sseq);  // numeric (logger, seq) order is correct
+
+  // ListWalSegments applies that order: legacy before segments, seq
+  // compared as a number, loggers grouped, non-WAL names skipped.
+  MemEnv env;
+  for (const std::string& name :
+       {WalSegmentFileName(1, 2), WalSegmentFileName(0, 10), segment,
+        std::string("trace-0.log"), legacy, WalSegmentFileName(0, 9),
+        std::string("wal-0.txt")}) {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env.NewWritableFile(name, &file).ok()) << name;
+  }
+  std::vector<std::string> names;
+  for (const WalSegment& s : ListWalSegments(env)) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       legacy, segment, WalSegmentFileName(0, 9),
+                       WalSegmentFileName(0, 10), WalSegmentFileName(1, 2)}));
 }
 
 // --- CheckpointManager unit -----------------------------------------------
@@ -184,28 +199,12 @@ class SegmentedLoggerTest : public ::testing::Test {
   SegmentedLoggerTest() : ex_(2) {}
   ~SegmentedLoggerTest() override { ex_.Stop(); }
 
-  /// All (logger, seq, name) wal files currently on disk, numerically
-  /// ordered.
+  /// Names of the wal files currently on disk, in (logger, seq) order.
   std::vector<std::string> WalFiles() {
-    struct F {
-      size_t logger;
-      uint64_t seq;
-      std::string name;
-    };
-    std::vector<F> fs;
-    for (const auto& name : env_.ListFiles()) {
-      size_t logger = 0;
-      uint64_t seq = 0;
-      if (ParseWalFileName(name, &logger, &seq)) {
-        fs.push_back({logger, seq, name});
-      }
-    }
-    std::sort(fs.begin(), fs.end(), [](const F& a, const F& b) {
-      return a.logger != b.logger ? a.logger < b.logger : a.seq < b.seq;
-    });
     std::vector<std::string> names;
-    names.reserve(fs.size());
-    for (auto& f : fs) names.push_back(std::move(f.name));
+    for (auto& segment : ListWalSegments(env_)) {
+      names.push_back(std::move(segment.name));
+    }
     return names;
   }
 
