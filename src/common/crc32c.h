@@ -1,4 +1,5 @@
-// Software CRC32C (Castagnoli), used to frame WAL records.
+// CRC32C (Castagnoli), used to frame WAL and trace records
+// (common/frame.h).
 #pragma once
 
 #include <cstddef>
@@ -7,8 +8,14 @@
 
 namespace snapper::crc32c {
 
-/// Extends `init_crc` with `data`. Pass 0 as the initial value.
+/// Extends `init_crc` with `data`. Pass 0 as the initial value. Runs the
+/// SSE4.2 `crc32` instruction when the CPU has it (checked once at
+/// startup), the portable table loop otherwise.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The portable byte-at-a-time table loop: Extend's fallback, and the
+/// reference its hardware path is tested against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// CRC32C of a buffer.
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
