@@ -12,12 +12,17 @@ inline void PutFixed8(std::string* dst, uint8_t v) {
   dst->push_back(static_cast<char>(v));
 }
 
+/// Writes `v` little-endian over the four bytes at `dst`.
+inline void EncodeFixed32(char* dst, uint32_t v) {
+  dst[0] = static_cast<char>(v);
+  dst[1] = static_cast<char>(v >> 8);
+  dst[2] = static_cast<char>(v >> 16);
+  dst[3] = static_cast<char>(v >> 24);
+}
+
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  buf[0] = static_cast<char>(v);
-  buf[1] = static_cast<char>(v >> 8);
-  buf[2] = static_cast<char>(v >> 16);
-  buf[3] = static_cast<char>(v >> 24);
+  EncodeFixed32(buf, v);
   dst->append(buf, 4);
 }
 

@@ -1,7 +1,7 @@
 #include "trace/trace_format.h"
 
 #include "common/coding.h"
-#include "common/crc32c.h"
+#include "common/frame.h"
 
 namespace snapper::trace {
 
@@ -120,29 +120,27 @@ bool TraceRecord::DecodeFrom(std::string_view payload) {
 }
 
 void FrameTraceRecord(const TraceRecord& record, std::string* dst) {
-  std::string payload;
-  record.EncodeTo(&payload);
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, crc32c::Mask(crc32c::Value(payload)));
-  dst->append(payload);
+  AppendFrame(record, dst);
 }
 
 Status TraceCursor::Next(TraceRecord* record) {
-  if (rest_.empty()) return Status::NotFound("end of trace");
-  std::string_view in = rest_;
-  uint32_t len, masked_crc;
-  if (!GetFixed32(&in, &len) || !GetFixed32(&in, &masked_crc)) {
-    return Status::Corruption("torn trace frame header");
-  }
-  if (in.size() < len) return Status::Corruption("torn trace frame body");
-  std::string_view payload = in.substr(0, len);
-  if (crc32c::Value(payload) != crc32c::Unmask(masked_crc)) {
-    return Status::Corruption("trace crc mismatch");
+  std::string_view payload, rest;
+  switch (NextFrame(rest_, &payload, &rest)) {
+    case FrameRead::kEnd:
+      return Status::NotFound("end of trace");
+    case FrameRead::kTornHeader:
+      return Status::Corruption("torn trace frame header");
+    case FrameRead::kTornBody:
+      return Status::Corruption("torn trace frame body");
+    case FrameRead::kCrcMismatch:
+      return Status::Corruption("trace crc mismatch");
+    case FrameRead::kOk:
+      break;
   }
   if (!record->DecodeFrom(payload)) {
     return Status::Corruption("malformed trace payload");
   }
-  rest_ = in.substr(len);
+  rest_ = rest;
   return Status::OK();
 }
 

@@ -1,5 +1,5 @@
 // On-disk format for record & replay traces (DESIGN.md §4g). Same physical
-// framing as the WAL (wal/log_format.h): every record is
+// framing as the WAL (common/frame.h): every record is
 //   [len u32][masked crc32c u32][payload],   payload = [type u8][fields...]
 // so a torn tail (capture process died mid-write) surfaces as a clean
 // kCorruption from the cursor, exactly like ARIES-style log recovery.

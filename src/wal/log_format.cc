@@ -1,7 +1,7 @@
 #include "wal/log_format.h"
 
 #include "common/coding.h"
-#include "common/crc32c.h"
+#include "common/frame.h"
 
 namespace snapper {
 
@@ -79,29 +79,27 @@ std::string LogRecord::ToString() const {
 }
 
 void FrameRecord(const LogRecord& record, std::string* dst) {
-  std::string payload;
-  record.EncodeTo(&payload);
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, crc32c::Mask(crc32c::Value(payload)));
-  dst->append(payload);
+  AppendFrame(record, dst);
 }
 
 Status LogCursor::Next(LogRecord* record) {
-  if (rest_.empty()) return Status::NotFound("end of log");
-  std::string_view in = rest_;
-  uint32_t len, masked_crc;
-  if (!GetFixed32(&in, &len) || !GetFixed32(&in, &masked_crc)) {
-    return Status::Corruption("torn frame header");
-  }
-  if (in.size() < len) return Status::Corruption("torn frame body");
-  std::string_view payload = in.substr(0, len);
-  if (crc32c::Value(payload) != crc32c::Unmask(masked_crc)) {
-    return Status::Corruption("crc mismatch");
+  std::string_view payload, rest;
+  switch (NextFrame(rest_, &payload, &rest)) {
+    case FrameRead::kEnd:
+      return Status::NotFound("end of log");
+    case FrameRead::kTornHeader:
+      return Status::Corruption("torn frame header");
+    case FrameRead::kTornBody:
+      return Status::Corruption("torn frame body");
+    case FrameRead::kCrcMismatch:
+      return Status::Corruption("crc mismatch");
+    case FrameRead::kOk:
+      break;
   }
   if (!record->DecodeFrom(payload)) {
     return Status::Corruption("malformed payload");
   }
-  rest_ = in.substr(len);
+  rest_ = rest;
   return Status::OK();
 }
 

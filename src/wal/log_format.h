@@ -3,6 +3,7 @@
 // coordinator (paper Fig. 7), plus the OrleansTxn baseline.
 //
 // Physical framing per record:   [len u32][masked crc32c u32][payload]
+//                                (common/frame.h, shared with traces)
 // Payload:                       [type u8][fields ...]
 #pragma once
 

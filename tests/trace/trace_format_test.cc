@@ -161,6 +161,43 @@ TEST(TraceFormatTest, BitFlipIsCorruption) {
   EXPECT_TRUE(cursor.Next(&r).IsCorruption());
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// The framed bytes are the on-disk format: a trace captured by an older
+// build must keep replaying, so any change to them is a format change.
+TEST(TraceFormatTest, FramedBytesMatchGolden) {
+  TraceRecord turn;
+  turn.type = TraceRecordType::kTurn;
+  turn.ctx = 0x0102030405060708ull;
+  turn.seq = 300;
+  turn.strand_id = 7;
+  TraceRecord counters;
+  counters.type = TraceRecordType::kCounters;
+  counters.counters = {{"committed", 12}, {"aborted", 3}};
+  std::string buf;
+  FrameTraceRecord(turn, &buf);
+  FrameTraceRecord(counters, &buf);
+  EXPECT_EQ(Hex(buf),
+            "13000000a7fa4916040807060504030201ac020700000000000000"
+            "16000000dba45034080209636f6d6d69747465640c0761626f7274656403");
+
+  TraceCursor cursor(buf);
+  TraceRecord r;
+  ASSERT_TRUE(cursor.Next(&r).ok());
+  EXPECT_EQ(r.seq, 300u);
+  ASSERT_TRUE(cursor.Next(&r).ok());
+  EXPECT_EQ(r.counters, counters.counters);
+  EXPECT_TRUE(cursor.Next(&r).IsNotFound());
+}
+
 TEST(TraceFormatTest, DecodeRejectsUnknownType) {
   TraceRecord r;
   EXPECT_FALSE(r.DecodeFrom(std::string_view("\xff garbage", 8)));

@@ -133,6 +133,47 @@ TEST(LogCursorTest, EveryTruncationDetected) {
   }
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// The framed bytes are the on-disk format: a WAL written by an older build
+// must keep reading back, so any change to them is a format change.
+TEST(LogCursorTest, FramedBytesMatchGolden) {
+  LogRecord info;
+  info.type = LogRecordType::kBatchInfo;
+  info.id = 42;
+  info.participants = {ActorId{1, 10}, ActorId{2, 300}};
+  info.prev_id = 41;
+  info.lsn = 9;
+  LogRecord complete;
+  complete.type = LogRecordType::kBatchComplete;
+  complete.id = 42;
+  complete.actor = ActorId{1, 10};
+  complete.state = "state";
+  complete.lsn = 10;
+  std::string log;
+  FrameRecord(info, &log);
+  FrameRecord(complete, &log);
+  EXPECT_EQ(Hex(log),
+            "0d000000c5ad0a3c012a000002010a02ac02002a09"
+            "0d000000326931f1022a010a00057374617465000a");
+
+  LogCursor cursor(log);
+  LogRecord out;
+  ASSERT_TRUE(cursor.Next(&out).ok());
+  EXPECT_EQ(out.participants, info.participants);
+  ASSERT_TRUE(cursor.Next(&out).ok());
+  EXPECT_EQ(out.state, "state");
+  EXPECT_TRUE(cursor.Next(&out).IsNotFound());
+}
+
 TEST(LogRecordTest, ToStringIsInformative) {
   EXPECT_NE(MakeBatchInfo().ToString().find("BatchInfo"), std::string::npos);
   EXPECT_NE(MakeBatchComplete().ToString().find("state_bytes"),
