@@ -4,9 +4,10 @@
 
 namespace snapper {
 
-void CommitSequencer::RegisterEmitted(uint64_t bid, uint64_t prev_bid) {
+void CommitSequencer::RegisterEmitted(uint64_t bid, uint64_t prev_bid,
+                                      uint64_t coordinator) {
   MutexLock lock(&mu_);
-  prev_of_[bid] = prev_bid;
+  emitted_[bid] = Emitted{prev_bid, coordinator};
 }
 
 bool CommitSequencer::IsCommittedLocked(uint64_t bid) const {
@@ -33,10 +34,10 @@ void CommitSequencer::RequestCommit(uint64_t bid,
       immediate = Status::TxnAborted(AbortReason::kCascading, "batch aborted");
       fire = true;
     } else {
-      auto it = prev_of_.find(bid);
-      const uint64_t prev = it == prev_of_.end() ? kNoBid : it->second;
+      auto it = emitted_.find(bid);
+      const uint64_t prev = it == emitted_.end() ? kNoBid : it->second.prev_bid;
       if (prev == kNoBid || IsCommittedLocked(prev)) {
-        prev_of_.erase(bid);
+        emitted_.erase(bid);
         committing_.insert(bid);  // protected from aborts from here on
         immediate = Status::OK();
         fire = true;
@@ -57,13 +58,13 @@ void CommitSequencer::MarkCommitted(uint64_t bid) {
     watermark_ = (watermark_ == kNoBid) ? bid : std::max(watermark_, bid);
     num_committed_++;
     committing_.erase(bid);
-    prev_of_.erase(bid);  // defensive: normally erased at cb-fire time
+    emitted_.erase(bid);  // defensive: normally erased at cb-fire time
     // Release the (single, linear-chain) successor's pending request.
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      auto prev_it = prev_of_.find(it->first);
-      if (prev_it != prev_of_.end() && prev_it->second == bid) {
+      auto prev_it = emitted_.find(it->first);
+      if (prev_it != emitted_.end() && prev_it->second.prev_bid == bid) {
         successor_cb = std::move(it->second);
-        prev_of_.erase(prev_it);
+        emitted_.erase(prev_it);
         committing_.insert(it->first);
         pending_.erase(it);
         break;
@@ -97,9 +98,9 @@ CommitSequencer::AbortOutcome CommitSequencer::BeginAbort(
   outcome.committing_drained = drain.GetFuture();
   {
     MutexLock lock(&mu_);
-    for (const auto& [bid, _] : prev_of_) {
+    for (const auto& [bid, emitted] : emitted_) {
       aborted_.insert(bid);
-      outcome.aborted_bids.push_back(bid);
+      outcome.aborted.emplace(bid, emitted.coordinator);
       auto w = waiters_.find(bid);
       if (w != waiters_.end()) {
         for (auto& p : w->second) resolved.push_back(std::move(p));
@@ -108,7 +109,7 @@ CommitSequencer::AbortOutcome CommitSequencer::BeginAbort(
     }
     for (auto& [_, cb] : pending_) cbs.push_back(std::move(cb));
     pending_.clear();
-    prev_of_.clear();
+    emitted_.clear();
     // Defensive sweep: fail any remaining waiters on undecided bids outside
     // the protected committing set — e.g. a commit-wait registered against a
     // bid whose registration a previous round already wiped. No future round
@@ -133,7 +134,6 @@ CommitSequencer::AbortOutcome CommitSequencer::BeginAbort(
   }
   for (auto& p : resolved) p.TrySet(status);
   for (auto& cb : cbs) cb(status);
-  std::sort(outcome.aborted_bids.begin(), outcome.aborted_bids.end());
   return outcome;
 }
 

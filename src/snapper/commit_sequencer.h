@@ -7,7 +7,9 @@
 //   * ACT commit-waits block until the batch max(BS) commits (§4.4.4);
 //   * the serializability check's incomplete-AfterSet optimization needs
 //     "is max(BS) committed?" (§4.4.3);
-//   * the global abort marks every undecided batch aborted (§4.2.4).
+//   * the global abort marks every undecided batch aborted (§4.2.4) and
+//     names each one's forming coordinator, on whose logger the abort
+//     round records the durable BatchAbort.
 //
 // Batch lifecycle: emitted -> (commit-eligible cb fired) committing ->
 // committed, or emitted -> aborted. A batch in `committing` (its coordinator
@@ -32,10 +34,10 @@ namespace snapper {
 
 class CommitSequencer {
  public:
-  /// A coordinator formed batch `bid`; `prev_bid` is the batch emitted
-  /// immediately before it system-wide (kNoBid for the chain head / after an
-  /// epoch reset).
-  void RegisterEmitted(uint64_t bid, uint64_t prev_bid);
+  /// Coordinator `coordinator` formed batch `bid`; `prev_bid` is the batch
+  /// emitted immediately before it system-wide (kNoBid for the chain head /
+  /// after an epoch reset).
+  void RegisterEmitted(uint64_t bid, uint64_t prev_bid, uint64_t coordinator);
 
   /// All BatchComplete acks arrived for `bid`; `cb` fires (possibly inline,
   /// on an arbitrary thread) with OK once the predecessor has committed —
@@ -49,7 +51,9 @@ class CommitSequencer {
   void MarkCommitted(uint64_t bid);
 
   struct AbortOutcome {
-    std::vector<uint64_t> aborted_bids;
+    /// bid -> index of the coordinator that formed it, for every batch this
+    /// abort decided.
+    std::map<uint64_t, uint64_t> aborted;
     /// Resolves once every batch that was in `committing` when the abort
     /// began has finished committing. Actors may only be rolled back after
     /// this drains (so IsCommitted answers are stable).
@@ -85,8 +89,13 @@ class CommitSequencer {
   uint64_t watermark_ GUARDED_BY(mu_) = kNoBid;
   uint64_t num_committed_ GUARDED_BY(mu_) = 0;
   std::unordered_set<uint64_t> aborted_ GUARDED_BY(mu_);
-  /// bid -> predecessor bid for emitted, undecided batches.
-  std::unordered_map<uint64_t, uint64_t> prev_of_ GUARDED_BY(mu_);
+  struct Emitted {
+    uint64_t prev_bid;
+    uint64_t coordinator;
+  };
+  /// bid -> chain predecessor and forming coordinator, for emitted,
+  /// undecided batches.
+  std::unordered_map<uint64_t, Emitted> emitted_ GUARDED_BY(mu_);
   /// Batches whose commit callback fired but MarkCommitted hasn't run.
   std::unordered_set<uint64_t> committing_ GUARDED_BY(mu_);
   /// Pending commit requests: bid -> callback.

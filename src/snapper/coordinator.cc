@@ -186,7 +186,7 @@ uint64_t CoordinatorActor::FormBatch(Token& token) {
   batch.sub_batches = std::move(subs);
 
   batch.prev_bid = token.last_emitted_bid;
-  sctx().sequencer.RegisterEmitted(batch.bid, token.last_emitted_bid);
+  sctx().sequencer.RegisterEmitted(batch.bid, token.last_emitted_bid, index_);
   token.last_emitted_bid = batch.bid;
 
   const uint64_t bid = batch.bid;

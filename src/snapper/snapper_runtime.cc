@@ -101,6 +101,28 @@ Task<void> GlobalAbortController::RoundTask(Status cause) {
   // so every actor sees a stable committed/aborted verdict.
   co_await outcome.committing_drained;
 
+  // Make the verdict durable before any actor rolls back. A batch whose
+  // BatchComplete records are all on disk — e.g. one that waited behind a
+  // predecessor spared above — would otherwise be committed by recovery's
+  // all-completes rule once that predecessor's BatchCommit lands, and a
+  // kill reactivates its actor from exactly that WAL right after this
+  // round. Each record goes to the logger of the coordinator that formed
+  // the batch, beside its BatchInfo (wal/checkpoint.h relies on that). A
+  // failed append leaves its batch in doubt, as a crash racing the append
+  // would; the in-memory abort stands either way.
+  if (!outcome.aborted.empty() && ctx_->log_manager->enabled()) {
+    std::vector<Future<Status>> appends;
+    appends.reserve(outcome.aborted.size());
+    for (const auto& [bid, coordinator] : outcome.aborted) {
+      LogRecord record;
+      record.type = LogRecordType::kBatchAbort;
+      record.id = bid;
+      appends.push_back(ctx_->log_manager->LoggerForCoordinator(coordinator)
+                            .Append(std::move(record)));
+    }
+    co_await WhenAll(appends);
+  }
+
   auto actors = ctx_->TransactionalActors();
   std::vector<Future<void>> rollbacks;
   rollbacks.reserve(actors.size());

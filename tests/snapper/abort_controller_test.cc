@@ -86,7 +86,8 @@ TEST(GlobalAbortControllerTest, JoinersAllResolveAcrossManyRounds) {
 
 TEST(GlobalAbortControllerTest, DecidedBidFastPathResolvesImmediately) {
   ControllerFixture f;
-  f.ctx.sequencer.RegisterEmitted(/*bid=*/7, /*prev_bid=*/kNoBid);
+  f.ctx.sequencer.RegisterEmitted(/*bid=*/7, /*prev_bid=*/kNoBid,
+                                  /*coordinator=*/0);
   bool fired = false;
   f.ctx.sequencer.RequestCommit(7, [&fired](Status s) {
     fired = true;

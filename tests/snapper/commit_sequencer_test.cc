@@ -7,7 +7,7 @@ namespace {
 
 TEST(CommitSequencerTest, ChainHeadCommitsImmediately) {
   CommitSequencer seq;
-  seq.RegisterEmitted(1, kNoBid);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
   Status got = Status::Internal("unset");
   seq.RequestCommit(1, [&](Status s) { got = s; });
   EXPECT_TRUE(got.ok());
@@ -18,8 +18,8 @@ TEST(CommitSequencerTest, ChainHeadCommitsImmediately) {
 
 TEST(CommitSequencerTest, CommitWaitsForPredecessor) {
   CommitSequencer seq;
-  seq.RegisterEmitted(1, kNoBid);
-  seq.RegisterEmitted(5, 1);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
+  seq.RegisterEmitted(5, 1, /*coordinator=*/0);
   bool b5_released = false;
   seq.RequestCommit(5, [&](Status s) { b5_released = s.ok(); });
   EXPECT_FALSE(b5_released);  // bid order: B1 first (§4.2.4)
@@ -38,7 +38,7 @@ TEST(CommitSequencerTest, LongChainCommitsInOrder) {
   std::vector<uint64_t> bids = {3, 7, 12, 20};
   uint64_t prev = kNoBid;
   for (uint64_t b : bids) {
-    seq.RegisterEmitted(b, prev);
+    seq.RegisterEmitted(b, prev, /*coordinator=*/0);
     prev = b;
   }
   std::vector<uint64_t> commit_order;
@@ -57,7 +57,7 @@ TEST(CommitSequencerTest, LongChainCommitsInOrder) {
 TEST(CommitSequencerTest, IsCommittedSemantics) {
   CommitSequencer seq;
   EXPECT_FALSE(seq.IsCommitted(1));
-  seq.RegisterEmitted(1, kNoBid);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
   seq.RequestCommit(1, [](Status) {});
   seq.MarkCommitted(1);
   EXPECT_TRUE(seq.IsCommitted(1));
@@ -66,7 +66,7 @@ TEST(CommitSequencerTest, IsCommittedSemantics) {
 
 TEST(CommitSequencerTest, WaitCommittedResolvesOnCommit) {
   CommitSequencer seq;
-  seq.RegisterEmitted(4, kNoBid);
+  seq.RegisterEmitted(4, kNoBid, /*coordinator=*/0);
   auto f = seq.WaitCommitted(4);
   EXPECT_FALSE(f.ready());
   seq.RequestCommit(4, [](Status) {});
@@ -79,14 +79,15 @@ TEST(CommitSequencerTest, WaitCommittedResolvesOnCommit) {
 
 TEST(CommitSequencerTest, AbortMarksAllUndecided) {
   CommitSequencer seq;
-  seq.RegisterEmitted(1, kNoBid);
-  seq.RegisterEmitted(5, 1);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
+  seq.RegisterEmitted(5, 1, /*coordinator=*/1);
   auto waiter = seq.WaitCommitted(5);
   bool b5_cb_aborted = false;
   seq.RequestCommit(5, [&](Status s) { b5_cb_aborted = s.IsTxnAborted(); });
   auto outcome =
       seq.BeginAbort(Status::TxnAborted(AbortReason::kCascading, "x"));
-  EXPECT_EQ(outcome.aborted_bids, (std::vector<uint64_t>{1, 5}));
+  // Each aborted batch names the coordinator that formed it.
+  EXPECT_EQ(outcome.aborted, (std::map<uint64_t, uint64_t>{{1, 0}, {5, 1}}));
   EXPECT_TRUE(outcome.committing_drained.ready());  // nothing was committing
   EXPECT_TRUE(b5_cb_aborted);
   ASSERT_TRUE(waiter.ready());
@@ -98,13 +99,13 @@ TEST(CommitSequencerTest, AbortMarksAllUndecided) {
 
 TEST(CommitSequencerTest, AbortSparesCommittingBatch) {
   CommitSequencer seq;
-  seq.RegisterEmitted(1, kNoBid);
-  seq.RegisterEmitted(5, 1);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
+  seq.RegisterEmitted(5, 1, /*coordinator=*/0);
   // B1's commit callback fired: it is now committing.
   seq.RequestCommit(1, [](Status s) { ASSERT_TRUE(s.ok()); });
   auto outcome =
       seq.BeginAbort(Status::TxnAborted(AbortReason::kCascading, "x"));
-  EXPECT_EQ(outcome.aborted_bids, (std::vector<uint64_t>{5}));
+  EXPECT_EQ(outcome.aborted, (std::map<uint64_t, uint64_t>{{5, 0}}));
   EXPECT_FALSE(outcome.committing_drained.ready());
   EXPECT_FALSE(seq.IsAborted(1));
   seq.MarkCommitted(1);  // commit completes during the abort round
@@ -114,15 +115,15 @@ TEST(CommitSequencerTest, AbortSparesCommittingBatch) {
 
 TEST(CommitSequencerTest, CommittedBelowWatermarkStaysCommittedAfterAbort) {
   CommitSequencer seq;
-  seq.RegisterEmitted(1, kNoBid);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
   seq.RequestCommit(1, [](Status) {});
   seq.MarkCommitted(1);
-  seq.RegisterEmitted(5, 1);
+  seq.RegisterEmitted(5, 1, /*coordinator=*/0);
   seq.BeginAbort(Status::TxnAborted(AbortReason::kCascading, "x"));
   EXPECT_TRUE(seq.IsCommitted(1));
   EXPECT_TRUE(seq.IsAborted(5));
   // bid 5 < a later committed bid must still read as aborted.
-  seq.RegisterEmitted(9, kNoBid);  // fresh chain after abort
+  seq.RegisterEmitted(9, kNoBid, /*coordinator=*/0);  // fresh chain after abort
   seq.RequestCommit(9, [](Status) {});
   seq.MarkCommitted(9);
   EXPECT_TRUE(seq.IsCommitted(9));
@@ -132,7 +133,7 @@ TEST(CommitSequencerTest, CommittedBelowWatermarkStaysCommittedAfterAbort) {
 
 TEST(CommitSequencerTest, WaitCommittedOnAbortedBid) {
   CommitSequencer seq;
-  seq.RegisterEmitted(3, kNoBid);
+  seq.RegisterEmitted(3, kNoBid, /*coordinator=*/0);
   seq.BeginAbort(Status::TxnAborted(AbortReason::kCascading, "x"));
   auto f = seq.WaitCommitted(3);
   ASSERT_TRUE(f.ready());
@@ -141,8 +142,8 @@ TEST(CommitSequencerTest, WaitCommittedOnAbortedBid) {
 
 TEST(CommitSequencerTest, Counters) {
   CommitSequencer seq;
-  seq.RegisterEmitted(1, kNoBid);
-  seq.RegisterEmitted(2, 1);
+  seq.RegisterEmitted(1, kNoBid, /*coordinator=*/0);
+  seq.RegisterEmitted(2, 1, /*coordinator=*/0);
   seq.RequestCommit(1, [](Status) {});
   seq.MarkCommitted(1);
   seq.BeginAbort(Status::TxnAborted(AbortReason::kCascading, "x"));

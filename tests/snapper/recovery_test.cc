@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "snapper/snapper_runtime.h"
 #include "tests/common/watchdog.h"
@@ -164,6 +167,75 @@ TEST_F(RecoveryTest, RandomizedCrashPointsConserveMoney) {
                    .value.AsDouble();
     }
     EXPECT_DOUBLE_EQ(total, 6 * kPer) << "round " << round;
+  }
+}
+
+// A kill's global abort round must leave a WAL that recovers to the live
+// state. The round aborts every undecided batch, including ones whose
+// BatchComplete records are all durable and that wait behind a predecessor
+// still committing; unless the round logs their BatchAbort, recovery's
+// all-completes rule commits them once that predecessor's BatchCommit lands.
+// The killed actor is reactivated from exactly that WAL right after the
+// round, so the live state would break conservation, and a crash + recover
+// would resurrect the batch on its co-participants too. A 2 ms sync keeps
+// commits slow, and paced submission keeps the batch pipeline full, so at
+// the kill completed batches queue behind committing ones.
+TEST(KillRoundRecoveryTest, RecoveredStateMatchesLiveStateAfterKill) {
+  constexpr uint64_t kAccounts = 16;
+  constexpr int kTransfers = 200;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    MemEnv env;
+    env.set_sync_latency(std::chrono::milliseconds(2));
+    SnapperConfig config;
+    config.num_workers = 2;
+    config.num_coordinators = 2;
+    config.num_loggers = 2;
+    config.seed = seed;
+    auto balances = [&](SnapperRuntime& rt, uint32_t type) {
+      std::vector<double> out;
+      for (uint64_t k = 0; k < kAccounts; ++k) {
+        const ActorId acc{type, k};
+        out.push_back(
+            rt.RunPact(acc, "Balance", Value(), {{acc, 1}}).value.AsDouble());
+      }
+      return out;
+    };
+    Rng rng(seed);
+    std::vector<double> live;
+    {
+      SnapperRuntime rt(config, &env);
+      const uint32_t type = smallbank::RegisterSmallBank(rt);
+      rt.Start();
+      std::vector<Future<TxnResult>> futures;
+      for (int i = 0; i < kTransfers; ++i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const uint64_t from = rng.Uniform(kAccounts);
+        const uint64_t to = (from + 1 + rng.Uniform(kAccounts - 1)) % kAccounts;
+        const double amount = static_cast<double>(1 + rng.Uniform(10));
+        futures.push_back(rt.SubmitPact(
+            ActorId{type, from}, "MultiTransfer",
+            SmallBankActor::MultiTransferInput(amount, {to}),
+            SmallBankActor::MultiTransferAccessInfo(type, from, {to})));
+      }
+      auto kill = rt.KillActor(ActorId{type, rng.Uniform(kAccounts)});
+      ASSERT_TRUE(testing::WaitResolved(kill, 30.0)) << "seed " << seed;
+      ASSERT_EQ(0u, testing::WaitAllResolved(futures, 30.0))
+          << "seed " << seed;
+      live = balances(rt, type);
+      double total = 0;
+      for (double b : live) total += b;
+      EXPECT_DOUBLE_EQ(total, kAccounts * kPer) << "seed " << seed;
+    }
+    env.CrashAll();
+    SnapperRuntime rt(config, &env);
+    const uint32_t type = smallbank::RegisterSmallBank(rt);
+    ASSERT_TRUE(rt.Recover().ok()) << "seed " << seed;
+    rt.Start();
+    const std::vector<double> recovered = balances(rt, type);
+    for (uint64_t k = 0; k < kAccounts; ++k) {
+      EXPECT_DOUBLE_EQ(recovered[k], live[k])
+          << "seed " << seed << " account " << k;
+    }
   }
 }
 
