@@ -82,15 +82,22 @@ Result<RecoveryResult> RecoveryManager::Run(Env* env) {
   // effects of its predecessors — committing a successor whose predecessor
   // aborted would resurrect those effects partially. bids grow along the
   // chain, so one ascending sweep settles chains of any length.
-  // A BatchAbort record (liveness watchdog / dead participant) excludes the
-  // batch from the all-completes inference: its completes may all be on
-  // disk even though it never committed — only the *ack* was lost. An
-  // explicit BatchCommit still wins; the coordinator guarantees the two are
-  // never written for the same bid.
+  // A BatchAbort record excludes the batch from the all-completes
+  // inference: its completes may all be on disk even though it never
+  // committed. Its writers: the coordinator's liveness watchdog / dead
+  // participant path (only the *ack* was lost), and the global abort round,
+  // for every batch it aborts — including one whose completes are all
+  // durable and that waited behind a predecessor the round let finish
+  // committing. An explicit BatchCommit still wins; neither writer ever
+  // logs an abort for a committed or committing bid.
   // (WAL truncation preserves these rules: it only deletes per-logger
   // prefixes below the global checkpoint floor, so a batch with any
   // still-relevant state record keeps its decision records, and a
-  // kBatchInfo is never deleted later than its same-logger kBatchAbort.)
+  // kBatchInfo is never deleted later than a same-logger kBatchAbort logged
+  // after it. A round may log the abort of a batch whose kBatchInfo append
+  // is still in flight, so the abort comes first; such a batch is never
+  // emitted and so has no completes — a surviving kBatchInfo alone can
+  // never satisfy the rule.)
   std::set<uint64_t> batch_committed = batch_commit_logged;
   for (const auto& [bid, participants] : batch_participants) {
     if (batch_committed.count(bid) > 0) continue;

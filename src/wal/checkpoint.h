@@ -29,13 +29,19 @@
 //    theirs. Conversely, any *retained* state record that recovery must
 //    re-judge has lsn >= floor, hence its decision record (higher LSN still)
 //    lives in a retained segment too.
-//  * The all-completes rule cannot resurrect a watchdog-aborted batch:
-//    kBatchInfo and kBatchAbort are written by the same coordinator to the
-//    same logger (info first). Per-logger LSNs are strictly increasing, so
-//    segments' max LSNs are too, and floor-based deletion always removes a
-//    per-logger *prefix* — the kBatchInfo is deleted no later than the
-//    kBatchAbort. Deleting the metadata of a still-undecided batch only
-//    makes recovery more conservative, which is legal for unacked work.
+//  * The all-completes rule cannot resurrect an aborted batch. BatchInfo
+//    and BatchAbort share a logger: both the coordinator's watchdog and the
+//    global abort round write a batch's kBatchAbort to the logger of the
+//    coordinator that formed it, which holds its kBatchInfo. Per-logger
+//    LSNs are strictly increasing, so segments' max LSNs are too, and
+//    floor-based deletion always removes a per-logger *prefix* — a
+//    kBatchInfo is deleted no later than a kBatchAbort logged after it. A
+//    kBatchAbort may also precede its kBatchInfo (a round, or a dead
+//    participant, aborts a batch whose kBatchInfo append is in flight);
+//    such a batch is never emitted and so has no kBatchComplete records,
+//    and a kBatchInfo that outlives its abort can never satisfy the rule.
+//    Deleting the metadata of a still-undecided batch only makes recovery
+//    more conservative, which is legal for unacked work.
 //
 // A torn checkpoint needs no special handling: its frame fails the CRC, so
 // it is never reported durable, never advances the floor, and recovery's
