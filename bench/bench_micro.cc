@@ -114,7 +114,8 @@ BENCHMARK(BM_ScheduleBatchLifecycle);
 void BM_WalAppend(benchmark::State& state) {
   Executor executor(2);
   MemEnv env;
-  Logger logger("bm.log", &env, std::make_shared<Strand>(&executor));
+  Logger logger(0, 1, &env, std::make_shared<Strand>(&executor), nullptr,
+                nullptr, 0);
   LogRecord record;
   record.type = LogRecordType::kBatchComplete;
   record.actor = ActorId{1, 1};

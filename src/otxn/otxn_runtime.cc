@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <optional>
+#include <string>
 #include <utility>
 
 #include "async/timer.h"
@@ -124,57 +124,41 @@ Task<void> OtxnActor::Reactivate() {
     barrier.type = LogRecordType::kActCommit;
     barrier.id = 0;
     barrier.actor = id();
-    auto barrier_done = rt.log_manager().LoggerFor(id()).Append(barrier);
+    Logger& logger = rt.log_manager().LoggerFor(id());
+    auto barrier_done = logger.Append(barrier);
     co_await barrier_done;
     const TimePoint scan_start = Now();
 
-    // Replay this actor's records in append order. All of them live in one
-    // logger's stream (LoggerFor is a stable hash), read segment by segment
-    // in ListWalSegments order. A checkpoint record resets the base state
-    // and discards the prepares before it: only the checkpoint-to-tail
-    // suffix is replayed. Files deleted by a racing truncation read as
-    // NotFound and are skipped — every state record they held is
-    // superseded by a later durable checkpoint.
-    std::optional<Value> base;
-    std::vector<std::pair<uint64_t, Value>> prepared;
-    for (const auto& f : ListWalSegments(rt.env())) {
-      std::string content;
-      if (!rt.env().ReadFile(f.name, &content).ok()) continue;
-      LogCursor cursor(content);
-      LogRecord record;
-      while (cursor.Next(&record).ok()) {
-        if (!(record.actor == id()) || record.state.empty()) continue;
-        if (record.type == LogRecordType::kCheckpoint) {
-          std::string_view in = record.state;
-          Value snapshot;
-          if (!snapshot.DecodeFrom(&in)) continue;
-          base = std::move(snapshot);
-          prepared.clear();  // superseded: replay only the suffix
-          continue;
-        }
-        if (record.type != LogRecordType::kActPrepare) continue;
-        std::string_view in = record.state;
-        Value snapshot;
-        if (!snapshot.DecodeFrom(&in)) continue;
-        prepared.emplace_back(record.id, std::move(snapshot));
+    // All of this actor's records live in its logger's stream (LoggerFor is
+    // a stable hash); replay only their checkpoint cut. A read error other
+    // than NotFound ends the replay early, like a torn tail.
+    CheckpointCut cut;
+    (void)ForEachWalRecord(rt.env(), logger.index(), [&](LogRecord& record) {
+      if (record.actor == id() && !record.state.empty()) {
+        cut.Add(std::move(record));
       }
-    }
-    rt.counters().recovery_replay_records.fetch_add(prepared.size());
+    });
+    rt.counters().recovery_replay_records.fetch_add(cut.after.size());
     // Early lock release makes prepare order == write order, so the last
-    // committed prepared snapshot is the durable state. The TA is the
-    // commit authority and survives actor kills; the fallback timeout is
-    // insurance only (roots decide in bounded time).
-    std::optional<Value> recovered = std::move(base);
-    for (auto& [tid, snapshot] : prepared) {
-      auto decided = rt.agent().WaitDecided(tid);
+    // committed prepared image is the durable state. The TA is the commit
+    // authority and survives actor kills; the fallback timeout is insurance
+    // only (roots decide in bounded time).
+    const std::string* recovered =
+        cut.checkpoint.empty() ? nullptr : &cut.checkpoint;
+    for (const LogRecord& prepared : cut.after) {
+      auto decided = rt.agent().WaitDecided(prepared.id);
       auto bounded = AwaitWithFallback<Status>(
           runtime().timers(), decided, std::chrono::milliseconds(10000),
           Status::TxnAborted(AbortReason::kActorFailed,
                              "undecided at reactivation"));
       const Status s = co_await bounded;
-      if (s.ok()) recovered = std::move(snapshot);
+      if (s.ok()) recovered = &prepared.state;
     }
-    if (recovered.has_value()) state_ = std::move(*recovered);
+    if (recovered != nullptr) {
+      std::string_view in = *recovered;
+      Value state;
+      if (state.DecodeFrom(&in)) state_ = std::move(state);
+    }
     rt.counters().recovery_time_us.fetch_add(
         MicrosBetween(scan_start, Now()));
   }

@@ -124,8 +124,6 @@ class OtxnActor : public ActorBase {
                             /*seed=*/bytes.size() + 1);
   }
 
-  const Value& state_for_test() const { return state_; }
-
  protected:
   void RegisterMethod(std::string name, Method method) {
     methods_[std::move(name)] = std::move(method);
@@ -138,12 +136,10 @@ class OtxnActor : public ActorBase {
 
   /// Rebuilds durable state after a fail-stop kill: drains the logger FIFO
   /// (so in-flight prepare appends from the previous activation are on
-  /// disk), seeds from this actor's last durable checkpoint (if any), then
-  /// replays only the prepared snapshots after it in append order, keeping
-  /// the last one the TA decided committed (early lock release makes
-  /// prepare order == write order), then starts serving. Segment files are
-  /// visited in (logger, seq) order; files deleted by a racing truncation
-  /// are skipped — their content is superseded by a later checkpoint.
+  /// disk), reads this actor's checkpoint cut from its own logger's stream
+  /// (wal/checkpoint.h), keeps the last prepared image after the checkpoint
+  /// that the TA decided committed (early lock release makes prepare order
+  /// == write order), decodes just that image, then starts serving.
   Task<void> Reactivate();
 
   Value state_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
-#include <vector>
 
+#include "common/value.h"
 #include "wal/checkpoint.h"
 #include "wal/log_format.h"
 
@@ -14,66 +14,46 @@ Result<RecoveryResult> RecoveryManager::Run(Env* env) {
   const auto start = std::chrono::steady_clock::now();
   RecoveryResult result;
 
-  // Load every stream's valid record prefix, per segment.
-  std::map<size_t, std::vector<LogRecord>> logs;
-  for (const auto& f : ListWalSegments(*env)) {
-    std::string content;
-    Status s = env->ReadFile(f.name, &content);
-    if (s.IsNotFound()) continue;  // deleted by a racing truncation: covered
-    if (!s.ok()) return s;
-    auto& records = logs[f.logger];
-    LogCursor cursor(content);
-    LogRecord record;
-    for (;;) {
-      Status rs = cursor.Next(&record);
-      if (rs.ok()) {
-        records.push_back(record);
-        continue;
-      }
-      // NotFound = clean end; Corruption = torn tail: stop either way.
-      break;
-    }
-  }
-  for (const auto& [logger, records] : logs) {
-    result.scanned_records += records.size();
-  }
-
-  // Pass 1: commit decisions.
+  // One pass over every logger's stream. Decisions are kept whole; state
+  // records only as each actor's checkpoint cut, since their verdicts may
+  // sit on a coordinator logger that is read later.
   std::set<uint64_t> batch_commit_logged;
   std::set<uint64_t> batch_abort_logged;
   std::map<uint64_t, std::set<ActorId>> batch_participants;
   std::map<uint64_t, uint64_t> batch_prev;
   std::map<uint64_t, std::set<ActorId>> batch_completes;
   std::set<uint64_t> act_committed;
-  for (const auto& [logger, records] : logs) {
-    for (const auto& r : records) {
-      result.max_seen_id = std::max(result.max_seen_id, r.id);
-      switch (r.type) {
-        case LogRecordType::kBatchCommit:
-          batch_commit_logged.insert(r.id);
-          break;
-        case LogRecordType::kBatchAbort:
-          batch_abort_logged.insert(r.id);
-          break;
-        case LogRecordType::kBatchInfo:
-          batch_participants[r.id].insert(r.participants.begin(),
-                                          r.participants.end());
-          batch_prev[r.id] = r.prev_id;
-          break;
-        case LogRecordType::kBatchComplete:
-          batch_completes[r.id].insert(r.actor);
-          break;
-        case LogRecordType::kActCoordCommit:
-          act_committed.insert(r.id);
-          break;
-        case LogRecordType::kCheckpoint:
-          ++result.checkpoint_records;
-          break;
-        default:
-          break;
-      }
+  std::map<ActorId, CheckpointCut> cuts;
+  Status read = ForEachWalRecord(*env, std::nullopt, [&](LogRecord& r) {
+    ++result.scanned_records;
+    result.max_seen_id = std::max(result.max_seen_id, r.id);
+    switch (r.type) {
+      case LogRecordType::kBatchCommit:
+        batch_commit_logged.insert(r.id);
+        break;
+      case LogRecordType::kBatchAbort:
+        batch_abort_logged.insert(r.id);
+        break;
+      case LogRecordType::kBatchInfo:
+        batch_participants[r.id].insert(r.participants.begin(),
+                                        r.participants.end());
+        batch_prev[r.id] = r.prev_id;
+        break;
+      case LogRecordType::kBatchComplete:
+        batch_completes[r.id].insert(r.actor);
+        break;
+      case LogRecordType::kActCoordCommit:
+        act_committed.insert(r.id);
+        break;
+      case LogRecordType::kCheckpoint:
+        ++result.checkpoint_records;
+        break;
+      default:
+        break;
     }
-  }
+    if (!r.state.empty()) cuts[r.actor].Add(std::move(r));
+  });
+  if (!read.ok()) return read;
 
   // A BatchCommit record is an explicit durable decision. The all-completes
   // rule additionally requires the batch's whole predecessor chain (the
@@ -120,44 +100,30 @@ Result<RecoveryResult> RecoveryManager::Run(Env* env) {
   result.committed_batches = batch_committed.size();
   result.committed_acts = act_committed.size();
 
-  // Pass 2: per-actor last committed state, in per-stream (== per-actor
-  // execution) order. State records before the owning actor's last
-  // checkpoint in the stream are superseded and skipped without decoding —
-  // the replay suffix is what bounds reactivation time.
+  // Per actor, the newest committed record of its cut wins; the checkpoint
+  // itself persists already-committed state. Records before the checkpoint
+  // were superseded undecoded — the suffix is what bounds replay time.
   uint64_t skipped_records = 0;
-  for (const auto& [logger, records] : logs) {
-    std::map<ActorId, size_t> last_checkpoint;
-    for (size_t i = 0; i < records.size(); ++i) {
-      const auto& r = records[i];
-      if (r.type == LogRecordType::kCheckpoint && !r.state.empty()) {
-        last_checkpoint[r.actor] = i;
-      }
-    }
-    for (size_t i = 0; i < records.size(); ++i) {
-      const auto& r = records[i];
-      if (r.state.empty()) continue;
-      const auto cut = last_checkpoint.find(r.actor);
-      if (cut != last_checkpoint.end() && i < cut->second) {
-        ++skipped_records;
-        continue;
-      }
+  for (auto& [actor, cut] : cuts) {
+    skipped_records += cut.superseded;
+    std::string* image = cut.checkpoint.empty() ? nullptr : &cut.checkpoint;
+    for (LogRecord& r : cut.after) {
       bool committed = false;
       if (r.type == LogRecordType::kBatchComplete) {
         committed = batch_committed.count(r.id) > 0;
       } else if (r.type == LogRecordType::kActPrepare) {
         committed = act_committed.count(r.id) > 0;
-      } else if (r.type == LogRecordType::kCheckpoint) {
-        committed = true;  // checkpoints persist already-committed state
       }
-      if (!committed) continue;
-      std::string_view in = r.state;
-      Value state;
-      if (!state.DecodeFrom(&in)) {
-        return Status::Corruption("undecodable state snapshot for actor " +
-                                  r.actor.ToString());
-      }
-      result.actor_states[r.actor] = std::move(state);
+      if (committed) image = &r.state;
     }
+    if (image == nullptr) continue;
+    std::string_view in = *image;
+    Value state;
+    if (!state.DecodeFrom(&in) || !in.empty()) {
+      return Status::Corruption("undecodable state snapshot for actor " +
+                                actor.ToString());
+    }
+    result.actor_states.emplace(actor, std::move(*image));
   }
   result.replay_records = result.scanned_records - skipped_records;
   result.recovery_time_us = static_cast<uint64_t>(

@@ -13,15 +13,17 @@
 //   * an ACT is committed iff its 2PC coordinator logged CoordCommit
 //     (presumed abort otherwise).
 //
-// State reconstruction: every actor hashes to exactly one logger, so its
-// state-bearing records (BatchComplete / ActPrepare / Checkpoint) appear in
-// that logger's segment files in execution order once segments are
-// concatenated by (logger, seq); the last such record belonging to a
-// committed transaction/batch carries the full state blob to restore.
-// Checkpoint records bound replay: state records before an actor's last
-// checkpoint in its stream are skipped without decoding (the checkpoint
-// supersedes them), so reactivation replays only the checkpoint-to-tail
-// suffix. Segment files deleted between ListFiles and ReadFile (a racing
+// State reconstruction: one pass of the WAL reader (wal/checkpoint.h)
+// over every logger's stream. Every actor hashes to exactly one logger, so
+// its state-bearing records (BatchComplete / ActPrepare / Checkpoint)
+// appear in that stream in execution order. Each actor keeps only its
+// checkpoint cut — the last checkpoint image and the state records after
+// it — since a record's verdict may sit on another logger; the newest
+// committed record of the cut carries the state to restore. Records before
+// the checkpoint are superseded and their states never decoded, so replay
+// covers only the checkpoint-to-tail suffix. States stay the bytes that were
+// logged: only the one image returned per actor is decoded, as a check.
+// Segment files deleted between ListFiles and ReadFile (a racing
 // truncation) are skipped: truncation only deletes segments whose every
 // state record is superseded by a durable checkpoint at a higher LSN, and
 // that checkpoint's segment predates the deletion, so it is in the listing.
@@ -33,15 +35,15 @@
 
 #include "actor/actor.h"
 #include "common/status.h"
-#include "common/value.h"
 #include "wal/env.h"
 
 namespace snapper {
 
 struct RecoveryResult {
-  /// Last committed state per actor (absent = actor never wrote, or never
-  /// committed a write: it restarts from its initial state).
-  std::map<ActorId, Value> actor_states;
+  /// Last committed state image per actor, as logged (absent = actor never
+  /// wrote, or never committed a write: it restarts from its initial
+  /// state).
+  std::map<ActorId, std::string> actor_states;
   /// Largest tid/bid observed anywhere in the logs; the new token's tid
   /// allocation resumes above it.
   uint64_t max_seen_id = 0;
@@ -61,9 +63,11 @@ struct RecoveryResult {
 
 class RecoveryManager {
  public:
-  /// Scans every "wal-*.log" file in `env`. Torn tails (unsynced partial
-  /// frames) terminate that file's scan cleanly, as in ARIES-style
-  /// recovery; genuine mid-file corruption is reported the same way.
+  /// Scans every WAL segment in `env`. Torn tails (unsynced partial
+  /// frames) terminate that segment's scan cleanly, as in ARIES-style
+  /// recovery; genuine mid-file corruption is treated the same way. A read
+  /// error other than NotFound, or a returned image that does not decode,
+  /// fails the scan.
   static Result<RecoveryResult> Run(Env* env);
 };
 

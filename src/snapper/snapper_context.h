@@ -13,12 +13,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/trace_hooks.h"
-#include "common/value.h"
 
 #include "actor/actor.h"
 #include "async/future.h"
@@ -134,27 +134,27 @@ struct SnapperContext {
     return {transactional_actors_.begin(), transactional_actors_.end()};
   }
 
-  /// Recovered per-actor states staged by RecoveryManager before Start();
-  /// consumed by each actor on (re-)activation.
-  void StageRecoveredStates(std::map<ActorId, Value> states) {
+  /// Recovered per-actor state images staged by RecoveryManager before
+  /// Start(); consumed by each actor on (re-)activation.
+  void StageRecoveredStates(std::map<ActorId, std::string> images) {
     MutexLock lock(&registry_mu_);
-    recovered_states_ = std::move(states);
+    recovered_states_ = std::move(images);
   }
 
-  /// Stages one actor's state (checkpoint-then-deactivate: the next
+  /// Stages one actor's image (checkpoint-then-deactivate: the next
   /// activation resumes from the durable checkpoint without a WAL replay).
-  void StageRecoveredState(const ActorId& id, Value state) {
+  void StageRecoveredState(const ActorId& id, std::string image) {
     MutexLock lock(&registry_mu_);
-    recovered_states_[id] = std::move(state);
+    recovered_states_[id] = std::move(image);
   }
 
-  std::optional<Value> TakeRecoveredState(const ActorId& id) {
+  std::optional<std::string> TakeRecoveredState(const ActorId& id) {
     MutexLock lock(&registry_mu_);
     auto it = recovered_states_.find(id);
     if (it == recovered_states_.end()) return std::nullopt;
-    Value v = std::move(it->second);
+    std::string image = std::move(it->second);
     recovered_states_.erase(it);
-    return v;
+    return image;
   }
 
   // --- Kill marks (fail-stop kills awaiting reactivation) ---------------
@@ -248,7 +248,7 @@ struct SnapperContext {
 
   Mutex registry_mu_;
   std::set<ActorId> transactional_actors_ GUARDED_BY(registry_mu_);
-  std::map<ActorId, Value> recovered_states_ GUARDED_BY(registry_mu_);
+  std::map<ActorId, std::string> recovered_states_ GUARDED_BY(registry_mu_);
 
   mutable Mutex kill_mu_;
   std::map<ActorId, KillMark> kill_marks_ GUARDED_BY(kill_mu_);

@@ -246,11 +246,11 @@ Result<RecoveryResult> SnapperRuntime::Recover() {
   // the first.
   if (log_manager_->enabled()) {
     std::vector<Future<Status>> appends;
-    for (const auto& [actor, state] : result.value().actor_states) {
+    for (const auto& [actor, image] : result.value().actor_states) {
       LogRecord record;
       record.type = LogRecordType::kCheckpoint;
       record.actor = actor;
-      record.state = state.Encode();
+      record.state = image;
       appends.push_back(log_manager_->LoggerFor(actor).Append(record));
     }
     for (auto& f : appends) {
@@ -400,7 +400,7 @@ void SnapperRuntime::ReactivateFromWal(const ActorId& id, uint64_t generation,
   // with live logging: reads observe only durable (record-aligned) content,
   // and this actor's own records cannot change — its fresh activation
   // rejects all work until FinishReactivation installs the state.
-  std::optional<Value> state;
+  std::optional<std::string> image;
   auto result = RecoveryManager::Run(env_);
   if (result.ok()) {
     context_.counters.recovery_time_us.fetch_add(
@@ -409,7 +409,7 @@ void SnapperRuntime::ReactivateFromWal(const ActorId& id, uint64_t generation,
         result.value().replay_records);
     auto it = result.value().actor_states.find(id);
     if (it != result.value().actor_states.end()) {
-      state = std::move(it->second);
+      image = std::move(it->second);
     }
   }
   // A failed scan (possible only under injected storage faults) falls
@@ -417,8 +417,8 @@ void SnapperRuntime::ReactivateFromWal(const ActorId& id, uint64_t generation,
   // trade whole-process recovery makes on an unreadable log.
   auto install = runtime_->Call<TransactionalActor>(
       id,
-      [state = std::move(state), generation](TransactionalActor& a) mutable {
-        return a.FinishReactivation(std::move(state), generation);
+      [image = std::move(image), generation](TransactionalActor& a) mutable {
+        return a.FinishReactivation(std::move(image), generation);
       });
   install.OnReady([done]() { done->TrySet(Unit{}); });
 }

@@ -45,9 +45,9 @@ Value DecodeImage(std::string_view image, const ActorId& actor) {
 
 }  // namespace
 
-void TransactionalActor::InstallState(Value state) {
-  state_ = std::move(state);
-  committed_image_ = state_.Encode();
+void TransactionalActor::InstallImage(std::string image) {
+  state_ = DecodeImage(image, id());
+  committed_image_ = std::move(image);
 }
 
 Value TransactionalActor::committed_state_for_test() const {
@@ -57,7 +57,12 @@ Value TransactionalActor::committed_state_for_test() const {
 void TransactionalActor::OnActivate() {
   const bool bare = runtime().app_context() == nullptr;  // bare-runtime tests
   auto recovered = bare ? std::nullopt : sctx().TakeRecoveredState(id());
-  InstallState(recovered.has_value() ? std::move(*recovered) : InitialState());
+  if (recovered.has_value()) {
+    InstallImage(std::move(*recovered));
+  } else {
+    state_ = InitialState();
+    committed_image_ = state_.Encode();
+  }
   if (bare) return;
   sctx().RegisterTransactionalActor(id());
   if (sctx().IsActorKilled(id())) {
@@ -82,23 +87,18 @@ void TransactionalActor::OnKill() {
   NotifyQuiesce();
 }
 
-Task<void> TransactionalActor::FinishReactivation(std::optional<Value> state,
-                                                  uint64_t generation) {
+Task<void> TransactionalActor::FinishReactivation(
+    std::optional<std::string> image, uint64_t generation) {
   DcheckOnStrand("FinishReactivation");
   std::chrono::steady_clock::time_point killed_at;
   if (!sctx().ClearKillMark(id(), generation, &killed_at)) {
     co_return;  // a newer kill superseded this reactivation
   }
-  if (state.has_value()) InstallState(std::move(*state));
+  if (image.has_value()) InstallImage(std::move(*image));
   recovering_ = false;
   sctx().counters.reactivations.fetch_add(1);
   sctx().counters.reactivation_us.fetch_add(MicrosBetween(killed_at, Now()));
   co_return;
-}
-
-void TransactionalActor::LoadRecoveredState(Value state) {
-  DcheckOnStrand("LoadRecoveredState");
-  InstallState(std::move(state));
 }
 
 Status TransactionalActor::StatusFromException(std::exception_ptr e) {
@@ -940,7 +940,7 @@ Task<bool> TransactionalActor::CheckpointAndDeactivate() {
   // Work may have arrived while the append was in flight; deactivating now
   // would abandon it. Stay resident unless still fully quiescent.
   if (!s.ok() || !QuiescentForCheckpoint()) co_return false;
-  ctx.StageRecoveredState(id(), DecodeImage(committed_image_, id()));
+  ctx.StageRecoveredState(id(), committed_image_);
   ctx.counters.cold_deactivations.fetch_add(1);
   // Deactivate without a kill mark: the next call activates a fresh
   // instance whose OnActivate picks up the staged state directly — no

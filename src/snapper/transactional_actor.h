@@ -99,14 +99,11 @@ class TransactionalActor : public ActorBase {
   /// this zombie activation so nothing blocks on it forever.
   void OnKill() override;
 
-  /// Installs a recovered state (from the WAL) as both current and committed.
-  void LoadRecoveredState(Value state);
-
   /// Completes a kill/reactivate cycle (SnapperRuntime::KillActor step 5):
-  /// installs the WAL-recovered state into this fresh activation and starts
-  /// serving. `generation` guards against a newer kill superseding a
+  /// installs the WAL-recovered state image into this fresh activation and
+  /// starts serving. `generation` guards against a newer kill superseding a
   /// reactivation still in flight.
-  Task<void> FinishReactivation(std::optional<Value> state,
+  Task<void> FinishReactivation(std::optional<std::string> image,
                                 uint64_t generation);
 
   // --- Asynchronous checkpointing (wal/checkpoint.h) -----------------------
@@ -213,8 +210,9 @@ class TransactionalActor : public ActorBase {
   /// Builds this actor's kCheckpoint record from committed_image_.
   LogRecord MakeCheckpointRecord() const;
 
-  /// Installs `state` as both the current state and the committed image.
-  void InstallState(Value state);
+  /// Installs a logged state image: decoded once into state_, then kept as
+  /// committed_image_ without re-encoding.
+  void InstallImage(std::string image);
 
   /// Maps an arbitrary in-flight exception to the abort status presented to
   /// clients and the abort machinery.

@@ -38,14 +38,8 @@ bool ParseWalFileName(std::string_view name, size_t* logger, uint64_t* seq) {
     return true;
   };
   size_t dash = body.find('-');
+  if (dash == std::string_view::npos) return false;
   uint64_t logger_v = 0;
-  if (dash == std::string_view::npos) {
-    // Legacy single-file name "wal-<logger>.log": sorts before any segment.
-    if (!parse_u64(body, &logger_v)) return false;
-    *logger = static_cast<size_t>(logger_v);
-    *seq = 0;
-    return true;
-  }
   uint64_t seq_v = 0;
   if (!parse_u64(body.substr(0, dash), &logger_v)) return false;
   if (!parse_u64(body.substr(dash + 1), &seq_v)) return false;
@@ -69,6 +63,32 @@ std::vector<WalSegment> ListWalSegments(Env& env) {
                                           : a.seq < b.seq;
             });
   return segments;
+}
+
+Status ForEachWalRecord(Env& env, std::optional<size_t> only_logger,
+                        const std::function<void(LogRecord&)>& visit) {
+  LogRecord record;
+  for (const WalSegment& segment : ListWalSegments(env)) {
+    if (only_logger.has_value() && segment.logger != *only_logger) continue;
+    std::string content;
+    const Status s = env.ReadFile(segment.name, &content);
+    if (s.IsNotFound()) continue;
+    if (!s.ok()) return s;
+    // NotFound is the clean end, Corruption a torn tail: either ends it.
+    LogCursor cursor(content);
+    while (cursor.Next(&record).ok()) visit(record);
+  }
+  return Status::OK();
+}
+
+void CheckpointCut::Add(LogRecord record) {
+  if (record.type != LogRecordType::kCheckpoint) {
+    after.push_back(std::move(record));
+    return;
+  }
+  superseded += after.size() + (checkpoint.empty() ? 0 : 1);
+  after.clear();
+  checkpoint = std::move(record.state);
 }
 
 CheckpointManager::CheckpointManager(Options options, Env* env)

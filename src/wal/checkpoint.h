@@ -52,12 +52,14 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "actor/actor.h"
 #include "common/mutex.h"
+#include "common/status.h"
 #include "wal/env.h"
 #include "wal/log_format.h"
 
@@ -75,11 +77,9 @@ struct CheckpointStats {
   std::atomic<uint64_t> lag_bytes{0};
 };
 
-/// Segment file naming. Seeded-era logs used `wal-<logger>.log`; segmented
-/// logs use `wal-<logger>-<seq>.log` with seq >= 1. ParseWalFileName maps a
-/// legacy name to seq 0 so (logger, seq) sorts legacy content first. Never
-/// sort WAL files lexicographically: "wal-0-000001.log" < "wal-0.log"
-/// because '-' < '.'.
+/// Segment file naming: `wal-<logger>-<seq>.log`, seq >= 1 and zero-padded
+/// to six digits. Never sort WAL files lexicographically: the logger index
+/// is unpadded, so "wal-10-000001.log" < "wal-2-000001.log".
 std::string WalSegmentFileName(size_t logger, uint64_t seq);
 bool ParseWalFileName(std::string_view name, size_t* logger, uint64_t* seq);
 
@@ -92,6 +92,28 @@ struct WalSegment {
 /// Every WAL file in `env`, in (logger, seq) order — the order in which one
 /// logger's segments concatenate into its stream. Other files are skipped.
 std::vector<WalSegment> ListWalSegments(Env& env);
+
+/// The one WAL reader: visits every record in ListWalSegments order, or
+/// only logger `only_logger`'s stream. A segment that reads NotFound was
+/// deleted by a racing truncation — every state record it held is
+/// superseded by a durable checkpoint in a later segment — and is skipped.
+/// A torn or corrupt frame ends its own segment (the torn-tail rule); the
+/// next segment is still read. Any other read error is returned. `visit`
+/// may move fields out of the record it is handed.
+Status ForEachWalRecord(Env& env, std::optional<size_t> only_logger,
+                        const std::function<void(LogRecord&)>& visit);
+
+/// One actor's checkpoint cut: the image of its last checkpoint and the
+/// state records logged after it, fed in stream order. Replay needs only
+/// that suffix; everything before the checkpoint is superseded.
+struct CheckpointCut {
+  std::string checkpoint;        ///< Last checkpoint image ("" = none).
+  std::vector<LogRecord> after;  ///< State records after it, in order.
+  uint64_t superseded = 0;       ///< State records a later checkpoint cut.
+
+  /// Feeds the actor's next state-bearing record (non-empty `state`).
+  void Add(LogRecord record);
+};
 
 class CheckpointManager {
  public:

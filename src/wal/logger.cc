@@ -4,13 +4,6 @@
 
 namespace snapper {
 
-Logger::Logger(std::string file_name, Env* env, std::shared_ptr<Strand> strand,
-               WalHealth* health)
-    : file_name_(std::move(file_name)),
-      env_(env),
-      strand_(std::move(strand)),
-      health_(health) {}
-
 Logger::Logger(size_t index, uint64_t start_seq, Env* env,
                std::shared_ptr<Strand> strand, WalHealth* health,
                CheckpointManager* checkpoints, size_t segment_bytes)
@@ -21,8 +14,7 @@ Logger::Logger(size_t index, uint64_t start_seq, Env* env,
       checkpoints_(checkpoints),
       segment_bytes_(segment_bytes),
       index_(index),
-      seq_(start_seq),
-      segmented_(true) {}
+      seq_(start_seq) {}
 
 Future<Status> Logger::Append(LogRecord record) {
   Promise<Status> promise;
@@ -77,8 +69,7 @@ void Logger::DoFlush() {
   if (pending_.empty()) return;
   // Roll at flush boundaries: records are never split across segments, so a
   // segment may overshoot `segment_bytes_` by at most one flush group.
-  if (segmented_ && segment_bytes_ > 0 && file_ &&
-      segment_written_ >= segment_bytes_) {
+  if (segment_bytes_ > 0 && file_ && segment_written_ >= segment_bytes_) {
     file_->Close();
     file_.reset();
     if (checkpoints_ != nullptr) checkpoints_->OnSegmentSealed(index_, seq_);
@@ -88,7 +79,7 @@ void Logger::DoFlush() {
   }
   if (!file_ && open_status_.ok()) {
     open_status_ = env_->NewWritableFile(file_name_, &file_);
-    if (open_status_.ok() && segmented_ && checkpoints_ != nullptr) {
+    if (open_status_.ok() && checkpoints_ != nullptr) {
       checkpoints_->OnSegmentOpen(index_, seq_, file_name_);
     }
   }

@@ -2,16 +2,17 @@
 //
 // A small, fixed group of Logger objects is shared by all actors on the
 // machine; an actor picks its logger by hashing its actor ID. Each logger
-// owns one log file and serializes writes through a strand, which yields
+// owns one log stream and serializes writes through a strand, which yields
 // group commit for free: appends that arrive while a flush is in progress
 // are batched into the next flush (one write+sync for the whole group),
 // "constraining the number of log files, reducing random IO and amortizing
 // IO cost by batching".
 //
-// With a CheckpointManager attached, each logger also: stamps every record
-// with a global LSN at append time, rolls its file into fixed-size segments
-// at flush boundaries, and reports per-record durability so checkpoint lag
-// and segment truncation stay exact (see wal/checkpoint.h).
+// A logger's stream is a sequence of segment files, rolled at flush
+// boundaries once a segment reaches the configured size. With a
+// CheckpointManager attached, each logger also stamps every record with a
+// global LSN at append time and reports per-record durability, so
+// checkpoint lag and segment truncation stay exact (see wal/checkpoint.h).
 #pragma once
 
 #include <atomic>
@@ -57,17 +58,13 @@ class WalHealth {
 
 class Logger {
  public:
-  /// Single-file logger (tests, benches): writes `file_name`, no LSNs, no
-  /// segments. `strand` must be dedicated to this logger. `health`
-  /// (optional) receives the outcome of every flush.
-  Logger(std::string file_name, Env* env, std::shared_ptr<Strand> strand,
-         WalHealth* health = nullptr);
-
-  /// Segmented logger `index`, starting at segment `start_seq` (past the
-  /// previous incarnation's highest so its files are never overwritten).
-  /// Rolls at the first flush boundary where the current segment has
-  /// `segment_bytes` or more (0 = never) and reports segment lifecycle and
-  /// per-record durability to `checkpoints` (may be null).
+  /// Logger `index`, writing segment files `wal-<index>-<seq>.log` from
+  /// `start_seq` on (past the previous incarnation's highest so its files
+  /// are never overwritten). `strand` must be dedicated to this logger.
+  /// `health` (may be null) receives the outcome of every flush. Rolls at
+  /// the first flush boundary where the current segment has `segment_bytes`
+  /// or more (0 = never). With `checkpoints` (may be null) it stamps LSNs
+  /// and reports segment lifecycle and per-record durability.
   Logger(size_t index, uint64_t start_seq, Env* env,
          std::shared_ptr<Strand> strand, WalHealth* health,
          CheckpointManager* checkpoints, size_t segment_bytes);
@@ -80,7 +77,8 @@ class Logger {
   /// Resolves when all appends enqueued so far are durable.
   Future<Status> Flush();
 
-  const std::string& file_name() const { return file_name_; }
+  /// This logger's index: its segments are `wal-<index>-<seq>.log`.
+  size_t index() const { return index_; }
   uint64_t num_records() const { return num_records_.load(); }
   uint64_t num_syncs() const { return num_syncs_.load(); }
   uint64_t bytes_written() const { return bytes_written_.load(); }
@@ -89,7 +87,7 @@ class Logger {
   void ScheduleFlushLocked();
   void DoFlush();
 
-  std::string file_name_;
+  std::string file_name_;  ///< Current segment's file (strand only).
   Env* env_;
   std::shared_ptr<Strand> strand_;
   WalHealth* health_;
@@ -98,10 +96,8 @@ class Logger {
   size_t index_ = 0;
   uint64_t seq_ = 0;          ///< Current segment sequence (strand only).
   size_t segment_written_ = 0;  ///< Durable bytes in the current segment.
-  bool segmented_ = false;
-  /// Opened lazily on the first flush so that recovery can read the previous
-  /// incarnation's log before this one writes (legacy single-file mode
-  /// truncates; segmented mode opens a fresh `wal-<index>-<seq>.log`).
+  /// Opened lazily on the first flush, as a fresh segment, so that recovery
+  /// reads the previous incarnation's log before this one writes.
   std::unique_ptr<WritableFile> file_;
   Status open_status_;
 

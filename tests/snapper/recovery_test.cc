@@ -13,6 +13,7 @@
 
 #include "snapper/snapper_runtime.h"
 #include "tests/common/watchdog.h"
+#include "wal/checkpoint.h"
 #include "wal/log_format.h"
 #include "workloads/smallbank.h"
 
@@ -23,6 +24,14 @@ using smallbank::SmallBankActor;
 
 constexpr double kPer =
     smallbank::kInitialChecking + smallbank::kInitialSavings;
+
+/// `actor`'s recovered state image, decoded.
+Value RecoveredState(const RecoveryResult& result, const ActorId& actor) {
+  std::string_view in = result.actor_states.at(actor);
+  Value state;
+  EXPECT_TRUE(state.DecodeFrom(&in) && in.empty()) << actor.ToString();
+  return state;
+}
 
 class RecoveryTest : public ::testing::Test {
  protected:
@@ -247,7 +256,7 @@ TEST(RecoveryManagerTest, BatchAbortExcludesAllCompletesInference) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     // Batch 5: all completes durable, but watchdog-aborted.
     LogRecord info;
@@ -307,7 +316,7 @@ TEST(RecoveryManagerTest, BatchAbortExcludesAllCompletesInference) {
   EXPECT_EQ(result.value().committed_batches, 1u);  // batch 9 only
   EXPECT_EQ(result.value().actor_states.count(ActorId{1, 10}), 0u);
   ASSERT_EQ(result.value().actor_states.count(ActorId{1, 20}), 1u);
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(ActorId{1, 20}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), ActorId{1, 20}).AsDouble(),
                    999.0);
 }
 
@@ -318,7 +327,7 @@ TEST(RecoveryManagerTest, CommitsBatchWithAllCompletesButNoCommitRecord) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info;
     info.type = LogRecordType::kBatchInfo;
@@ -341,9 +350,9 @@ TEST(RecoveryManagerTest, CommitsBatchWithAllCompletesButNoCommitRecord) {
   auto result = RecoveryManager::Run(&env);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().committed_batches, 1u);
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(ActorId{1, 10}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), ActorId{1, 10}).AsDouble(),
                    111.0);
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(ActorId{1, 20}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), ActorId{1, 20}).AsDouble(),
                    222.0);
 }
 
@@ -351,7 +360,7 @@ TEST(RecoveryManagerTest, IncompleteBatchDoesNotCommit) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info;
     info.type = LogRecordType::kBatchInfo;
@@ -377,7 +386,7 @@ TEST(RecoveryManagerTest, ActNeedsCoordCommit) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord prepared;
     prepared.type = LogRecordType::kActPrepare;
@@ -395,7 +404,7 @@ TEST(RecoveryManagerTest, ActNeedsCoordCommit) {
 
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-1.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(1, 1), &f).ok());
     std::string buf;
     LogRecord commit;
     commit.type = LogRecordType::kActCoordCommit;
@@ -407,7 +416,7 @@ TEST(RecoveryManagerTest, ActNeedsCoordCommit) {
   auto r2 = RecoveryManager::Run(&env);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2.value().committed_acts, 1u);
-  EXPECT_DOUBLE_EQ(r2.value().actor_states.at(ActorId{1, 10}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(r2.value(), ActorId{1, 10}).AsDouble(),
                    999.0);
 }
 
@@ -415,7 +424,7 @@ TEST(RecoveryManagerTest, CheckpointRecordsApplyUnconditionally) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord checkpoint;
     checkpoint.type = LogRecordType::kCheckpoint;
@@ -427,7 +436,7 @@ TEST(RecoveryManagerTest, CheckpointRecordsApplyUnconditionally) {
   }
   auto result = RecoveryManager::Run(&env);
   ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(ActorId{2, 5}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), ActorId{2, 5}).AsDouble(),
                    42.0);
 }
 
@@ -438,7 +447,7 @@ TEST(RecoveryManagerTest, AllCompletesWithAbortedPredecessorDoesNotCommit) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info5;
     info5.type = LogRecordType::kBatchInfo;
@@ -472,7 +481,7 @@ TEST(RecoveryManagerTest, AllCompletesChainCommitsWhenPredecessorCommitted) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info5;
     info5.type = LogRecordType::kBatchInfo;
@@ -503,9 +512,9 @@ TEST(RecoveryManagerTest, AllCompletesChainCommitsWhenPredecessorCommitted) {
   auto result = RecoveryManager::Run(&env);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().committed_batches, 2u);
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(ActorId{1, 10}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), ActorId{1, 10}).AsDouble(),
                    111.0);
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(ActorId{1, 20}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), ActorId{1, 20}).AsDouble(),
                    222.0);
 }
 
@@ -516,7 +525,7 @@ TEST(RecoveryManagerTest, TearOnExactFrameBoundaryDropsOneRecord) {
   size_t last_frame_bytes = 0;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     for (uint64_t k = 1; k <= 3; ++k) {
       LogRecord checkpoint;
@@ -539,9 +548,9 @@ TEST(RecoveryManagerTest, TearOnExactFrameBoundaryDropsOneRecord) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().scanned_records, 2u);
   EXPECT_EQ(after.value().actor_states.count(ActorId{2, 3}), 0u);
-  EXPECT_DOUBLE_EQ(after.value().actor_states.at(ActorId{2, 1}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(after.value(), ActorId{2, 1}).AsDouble(),
                    1.0);
-  EXPECT_DOUBLE_EQ(after.value().actor_states.at(ActorId{2, 2}).AsDouble(),
+  EXPECT_DOUBLE_EQ(RecoveredState(after.value(), ActorId{2, 2}).AsDouble(),
                    2.0);
 }
 
@@ -609,7 +618,7 @@ TEST(RecoveryManagerTest, MaxSeenIdCoversAllRecords) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord r;
     r.type = LogRecordType::kBatchCommit;
@@ -659,7 +668,7 @@ TEST(RecoveryManagerTest, CheckpointCutBoundsReplayToSuffix) {
   const ActorId actor{2, 5};
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     for (uint64_t tid = 1; tid <= 10; ++tid) {
       AppendCommittedWrite(&buf, actor, tid, 100.0 + tid);
@@ -671,7 +680,7 @@ TEST(RecoveryManagerTest, CheckpointCutBoundsReplayToSuffix) {
   }
   auto result = RecoveryManager::Run(&env);
   ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(actor).AsDouble(), 111.0);
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), actor).AsDouble(), 111.0);
   // 10 pre-checkpoint prepares skipped; everything else (10 commits,
   // checkpoint, suffix prepare + commit) is scanned.
   EXPECT_EQ(result.value().scanned_records, 23u);
@@ -687,7 +696,7 @@ TEST(RecoveryManagerTest, TornCheckpointFallsBackToPreviousCheckpoint) {
   size_t last_checkpoint_bytes = 0;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     AppendCheckpoint(&buf, actor, 42.0);
     AppendCommittedWrite(&buf, actor, 7, 50.0);
@@ -698,7 +707,7 @@ TEST(RecoveryManagerTest, TornCheckpointFallsBackToPreviousCheckpoint) {
   // Sanity: untorn, the newest checkpoint wins.
   auto before = RecoveryManager::Run(&env);
   ASSERT_TRUE(before.ok());
-  EXPECT_DOUBLE_EQ(before.value().actor_states.at(actor).AsDouble(), 60.0);
+  EXPECT_DOUBLE_EQ(RecoveredState(before.value(), actor).AsDouble(), 60.0);
 
   // Tear into (not exactly at) the newest checkpoint's frame: CRC fails,
   // the scan stops, and the cut moves back to the older checkpoint.
@@ -706,7 +715,7 @@ TEST(RecoveryManagerTest, TornCheckpointFallsBackToPreviousCheckpoint) {
   auto after = RecoveryManager::Run(&env);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().scanned_records, 3u);
-  EXPECT_DOUBLE_EQ(after.value().actor_states.at(actor).AsDouble(), 50.0);
+  EXPECT_DOUBLE_EQ(RecoveredState(after.value(), actor).AsDouble(), 50.0);
 }
 
 /// Env in which a chosen file vanishes between ListFiles and ReadFile —
@@ -765,7 +774,7 @@ TEST(RecoveryManagerTest, TruncationRacingRecoverySkipsVanishedSegment) {
   VanishingFileEnv env(&base, "wal-0-000001.log");
   auto result = RecoveryManager::Run(&env);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_DOUBLE_EQ(result.value().actor_states.at(actor).AsDouble(), 104.0);
+  EXPECT_DOUBLE_EQ(RecoveredState(result.value(), actor).AsDouble(), 104.0);
   EXPECT_EQ(result.value().scanned_records, 1u);
 }
 

@@ -1,12 +1,14 @@
 // The saved-state invariant of TransactionalActor: every saved version of an
 // actor's state is an image — the exact bytes its WAL record carries — and
 // the live state rolls back to the committed image. Checked against the WAL
-// read back from a MemEnv, on SmallBank (PACT, ACT, checkpoints) and on
-// TPC-C's nested map/list states (global abort rollback).
+// read back from a MemEnv, on SmallBank (PACT, ACT, checkpoints, and the
+// recover, kill-reactivate and cold-shed install paths) and on TPC-C's
+// nested map/list states (global abort rollback).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -41,20 +43,17 @@ std::string CommittedImage(SnapperRuntime& rt, const ActorId& id) {
   return States(rt, id).second.Encode();
 }
 
-/// The payload of the last record of `type` each actor wrote, in log order.
-std::map<ActorId, std::string> LastPayloads(Env& env, LogRecordType type) {
+/// The payload of the last state record each actor wrote, in log order —
+/// of any type, or of `type` only.
+std::map<ActorId, std::string> LastPayloads(
+    Env& env, std::optional<LogRecordType> type) {
   std::map<ActorId, std::string> out;
-  for (const auto& segment : ListWalSegments(env)) {
-    std::string content;
-    EXPECT_TRUE(env.ReadFile(segment.name, &content).ok());
-    LogCursor cursor(content);
-    LogRecord record;
-    while (cursor.Next(&record).ok()) {
-      if (record.type == type && !record.state.empty()) {
-        out[record.actor] = record.state;
-      }
-    }
-  }
+  EXPECT_TRUE(ForEachWalRecord(env, std::nullopt, [&](LogRecord& record) {
+                if (!record.state.empty() &&
+                    (!type.has_value() || record.type == *type)) {
+                  out[record.actor] = std::move(record.state);
+                }
+              }).ok());
   return out;
 }
 
@@ -138,6 +137,54 @@ TEST_F(StateImageTest, CheckpointPayloadIsCommittedImage) {
   }
   EXPECT_TRUE(matched);
   EXPECT_EQ(LastPayloads(env_, LogRecordType::kBatchComplete)[Acc(1)], image);
+}
+
+// States stay the logged bytes through every install path. After a run
+// whose transactions all committed, each actor's last logged payload is its
+// committed image; a kill's WAL reactivation, a cold shed and a crash plus
+// Recover() each install exactly that image, and Recover() re-checkpoints
+// the very bytes it recovered.
+TEST_F(StateImageTest, InstallPathsKeepLoggedImages) {
+  Open();
+  ASSERT_TRUE(Transfer(TxnMode::kPact, 1, 2).ok());
+  ASSERT_TRUE(Transfer(TxnMode::kAct, 2, 3).ok());
+  ASSERT_TRUE(Transfer(TxnMode::kPact, 3, 1).ok());
+  const auto logged = LastPayloads(env_, std::nullopt);
+  ASSERT_EQ(logged.size(), 3u);
+  for (uint64_t k : {1, 2, 3}) {
+    ASSERT_TRUE(CommittedImageBecomes(*rt_, Acc(k), logged.at(Acc(k))))
+        << "account " << k;
+  }
+
+  auto kill = rt_->KillActor(Acc(2));
+  ASSERT_TRUE(testing::WaitResolved(kill, 30.0));
+  EXPECT_EQ(CommittedImage(*rt_, Acc(2)), logged.at(Acc(2)));
+
+  auto shed = rt_->runtime().Call<TransactionalActor>(
+      Acc(3), [](TransactionalActor& a) { return a.CheckpointAndDeactivate(); });
+  ASSERT_TRUE(shed.Get());
+  EXPECT_EQ(LastPayloads(env_, LogRecordType::kCheckpoint).at(Acc(3)),
+            logged.at(Acc(3)));
+  EXPECT_EQ(CommittedImage(*rt_, Acc(3)), logged.at(Acc(3)));  // reactivates
+  EXPECT_EQ(rt_->context().counters.cold_deactivations.load(), 1u);
+
+  rt_.reset();
+  env_.CrashAll();
+  rt_ = std::make_unique<SnapperRuntime>(SnapperConfig{}, &env_);
+  type_ = smallbank::RegisterSmallBank(*rt_);
+  auto recovered = rt_->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().actor_states, logged);
+  // The previous incarnation's files are retired: only Recover()'s
+  // re-checkpoints carry state now.
+  EXPECT_EQ(LastPayloads(env_, std::nullopt),
+            LastPayloads(env_, LogRecordType::kCheckpoint));
+  EXPECT_EQ(LastPayloads(env_, LogRecordType::kCheckpoint), logged);
+  rt_->Start();
+  for (uint64_t k : {1, 2, 3}) {
+    EXPECT_EQ(CommittedImage(*rt_, Acc(k)), logged.at(Acc(k)))
+        << "account " << k;
+  }
 }
 
 // A global abort striking TPC-C NewOrders in flight rolls every actor's

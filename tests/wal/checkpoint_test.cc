@@ -1,15 +1,18 @@
-// CheckpointManager + segmented-logger tests: file naming, lag/threshold
-// request plumbing, segment rolling, LSN monotonicity, and floor-based
-// truncation (including the exact-boundary roll).
+// CheckpointManager + segmented-logger tests: file naming, the WAL reader
+// and the checkpoint cut, lag/threshold request plumbing, segment rolling,
+// LSN monotonicity, and floor-based truncation (including the
+// exact-boundary roll).
 #include "wal/checkpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "async/executor.h"
+#include "snapper/recovery.h"
 #include "wal/env.h"
 #include "wal/log_format.h"
 #include "wal/logger.h"
@@ -46,14 +49,6 @@ TEST(WalFileNameTest, RoundTrip) {
   EXPECT_EQ(seq, 12u);
 }
 
-TEST(WalFileNameTest, LegacyNameParsesAsSeqZero) {
-  size_t logger = 99;
-  uint64_t seq = 99;
-  ASSERT_TRUE(ParseWalFileName("wal-2.log", &logger, &seq));
-  EXPECT_EQ(logger, 2u);
-  EXPECT_EQ(seq, 0u);
-}
-
 TEST(WalFileNameTest, RejectsNonWalNames) {
   size_t logger = 0;
   uint64_t seq = 0;
@@ -63,35 +58,150 @@ TEST(WalFileNameTest, RejectsNonWalNames) {
   EXPECT_FALSE(ParseWalFileName("foo-1.log", &logger, &seq));
   EXPECT_FALSE(ParseWalFileName("wal-1.txt", &logger, &seq));
   EXPECT_FALSE(ParseWalFileName("wal-", &logger, &seq));
+  EXPECT_FALSE(ParseWalFileName("wal-2.log", &logger, &seq));  // no seq
 }
 
-// The trap that motivates numeric ordering: lexicographically the segmented
-// name sorts *before* the legacy name ('-' < '.'), but its content is newer.
+// The trap that motivates numeric ordering: the logger index is unpadded,
+// so lexicographically logger 10's segments sort before logger 2's.
 TEST(WalFileNameTest, LexicographicOrderWouldMisorderSegments) {
-  const std::string legacy = "wal-0.log";
-  const std::string segment = WalSegmentFileName(0, 1);
-  ASSERT_LT(segment, legacy);  // the lexicographic trap is real
-  size_t ll = 0, sl = 0;
-  uint64_t lseq = 0, sseq = 0;
-  ASSERT_TRUE(ParseWalFileName(legacy, &ll, &lseq));
-  ASSERT_TRUE(ParseWalFileName(segment, &sl, &sseq));
-  EXPECT_LT(lseq, sseq);  // numeric (logger, seq) order is correct
+  const std::string ten = WalSegmentFileName(10, 1);
+  const std::string two = WalSegmentFileName(2, 1);
+  ASSERT_EQ(ten, "wal-10-000001.log");
+  ASSERT_LT(ten, two);  // the lexicographic trap is real
 
-  // ListWalSegments applies that order: legacy before segments, seq
-  // compared as a number, loggers grouped, non-WAL names skipped.
+  // ListWalSegments orders by (logger, seq) as numbers, groups loggers and
+  // skips every other name.
   MemEnv env;
   for (const std::string& name :
-       {WalSegmentFileName(1, 2), WalSegmentFileName(0, 10), segment,
-        std::string("trace-0.log"), legacy, WalSegmentFileName(0, 9),
-        std::string("wal-0.txt")}) {
+       {ten, WalSegmentFileName(2, 10), two, std::string("trace-0.log"),
+        WalSegmentFileName(2, 9), std::string("wal-0.txt"),
+        std::string("wal-0.log")}) {
     std::unique_ptr<WritableFile> file;
     ASSERT_TRUE(env.NewWritableFile(name, &file).ok()) << name;
   }
   std::vector<std::string> names;
   for (const WalSegment& s : ListWalSegments(env)) names.push_back(s.name);
-  EXPECT_EQ(names, (std::vector<std::string>{
-                       legacy, segment, WalSegmentFileName(0, 9),
-                       WalSegmentFileName(0, 10), WalSegmentFileName(1, 2)}));
+  EXPECT_EQ(names, (std::vector<std::string>{two, WalSegmentFileName(2, 9),
+                                             WalSegmentFileName(2, 10),
+                                             ten}));
+}
+
+// --- The WAL reader and the checkpoint cut --------------------------------
+
+/// MemEnv whose ReadFile of one file fails with a chosen status.
+class ReadFailEnv : public MemEnv {
+ public:
+  Status ReadFile(const std::string& name, std::string* out) override {
+    if (name == fail_name) return fail_status;
+    return MemEnv::ReadFile(name, out);
+  }
+
+  std::string fail_name;
+  Status fail_status;
+};
+
+class WalReaderTest : public ::testing::Test {
+ protected:
+  /// Logger 0: seq 1 holds keys 1, 2; seq 2 holds key 3 and then a torn
+  /// frame of key 4; seq 3 holds key 5. Logger 1: seq 1 holds key 10.
+  WalReaderTest() {
+    WriteSegment(0, 1, {1, 2}, std::nullopt);
+    WriteSegment(0, 2, {3}, 4);
+    WriteSegment(0, 3, {5}, std::nullopt);
+    WriteSegment(1, 1, {10}, std::nullopt);
+  }
+
+  void WriteSegment(size_t logger, uint64_t seq, std::vector<uint64_t> keys,
+                    std::optional<uint64_t> torn_key) {
+    std::string buf;
+    for (uint64_t key : keys) FrameRecord(StateRecord(key, "s"), &buf);
+    if (torn_key.has_value()) {
+      std::string frame;
+      FrameRecord(StateRecord(*torn_key, "s"), &frame);
+      buf += frame.substr(0, frame.size() - 3);
+    }
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(
+        env_.NewWritableFile(WalSegmentFileName(logger, seq), &file).ok());
+    ASSERT_TRUE(file->Append(buf).ok());
+    ASSERT_TRUE(file->Sync().ok());
+  }
+
+  /// Keys of the records read, in visit order; `*status` gets the result.
+  std::vector<uint64_t> Read(std::optional<size_t> only_logger,
+                             Status* status) {
+    std::vector<uint64_t> keys;
+    *status = ForEachWalRecord(env_, only_logger, [&](LogRecord& record) {
+      keys.push_back(record.actor.key);
+    });
+    return keys;
+  }
+
+  ReadFailEnv env_;
+};
+
+// Every logger's stream in (logger, seq) order, or one logger's alone; the
+// torn frame ends segment 2 only, so segment 3 is still read.
+TEST_F(WalReaderTest, VisitsStreamsInOrderAndFiltersByLogger) {
+  Status status;
+  EXPECT_EQ(Read(std::nullopt, &status),
+            (std::vector<uint64_t>{1, 2, 3, 5, 10}));
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(Read(0, &status), (std::vector<uint64_t>{1, 2, 3, 5}));
+  EXPECT_EQ(Read(1, &status), (std::vector<uint64_t>{10}));
+  EXPECT_TRUE(Read(7, &status).empty());
+  EXPECT_TRUE(status.ok());
+}
+
+// A segment deleted by a racing truncation reads NotFound and is skipped;
+// the segments after it are still read.
+TEST_F(WalReaderTest, SkipsSegmentThatReadsNotFound) {
+  env_.fail_name = WalSegmentFileName(0, 2);
+  env_.fail_status = Status::NotFound("truncated");
+  Status status;
+  EXPECT_EQ(Read(std::nullopt, &status), (std::vector<uint64_t>{1, 2, 5, 10}));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+// Any other read error stops the walk and is returned — and recovery
+// returns it rather than rebuilding from a partial log.
+TEST_F(WalReaderTest, ReturnsOtherReadErrors) {
+  env_.fail_name = WalSegmentFileName(0, 2);
+  env_.fail_status = Status::IOError("bad sector");
+  Status status;
+  EXPECT_EQ(Read(std::nullopt, &status), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  // A filtered walk never reads another logger's segments.
+  EXPECT_EQ(Read(1, &status), (std::vector<uint64_t>{10}));
+  EXPECT_TRUE(status.ok());
+
+  auto recovered = RecoveryManager::Run(&env_);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIOError)
+      << recovered.status().ToString();
+}
+
+// A checkpoint drops the records before it, earlier checkpoints included,
+// and keeps only what follows.
+TEST(CheckpointCutTest, CountsSupersededRecords) {
+  CheckpointCut cut;
+  cut.Add(StateRecord(1, "p1"));
+  cut.Add(StateRecord(1, "p2"));
+  EXPECT_EQ(cut.after.size(), 2u);
+  EXPECT_EQ(cut.superseded, 0u);
+
+  cut.Add(CheckpointRecord(1, "c1"));
+  EXPECT_EQ(cut.checkpoint, "c1");
+  EXPECT_TRUE(cut.after.empty());
+  EXPECT_EQ(cut.superseded, 2u);
+
+  cut.Add(StateRecord(1, "p3"));
+  cut.Add(CheckpointRecord(1, "c2"));  // supersedes p3 and c1
+  cut.Add(StateRecord(1, "p4"));
+  EXPECT_EQ(cut.checkpoint, "c2");
+  ASSERT_EQ(cut.after.size(), 1u);
+  EXPECT_EQ(cut.after[0].state, "p4");
+  EXPECT_EQ(cut.superseded, 4u);
 }
 
 // --- CheckpointManager unit -----------------------------------------------
@@ -228,17 +338,12 @@ TEST_F(SegmentedLoggerTest, RollsSegmentsAndKeepsLsnsMonotone) {
 
   uint64_t last_lsn = 0;
   size_t records = 0;
-  for (const auto& name : files) {
-    std::string content;
-    ASSERT_TRUE(env_.ReadFile(name, &content).ok());
-    LogCursor cursor(content);
-    LogRecord out;
-    while (cursor.Next(&out).ok()) {
-      EXPECT_GT(out.lsn, last_lsn) << "LSNs must increase across segments";
-      last_lsn = out.lsn;
-      ++records;
-    }
-  }
+  ASSERT_TRUE(ForEachWalRecord(env_, std::nullopt, [&](LogRecord& out) {
+                EXPECT_GT(out.lsn, last_lsn)
+                    << "LSNs must increase across segments";
+                last_lsn = out.lsn;
+                ++records;
+              }).ok());
   EXPECT_EQ(records, 8u);
   EXPECT_GE(manager.checkpoints()->stats().segments_sealed.load(), 1u);
 }
@@ -318,23 +423,18 @@ TEST_F(SegmentedLoggerTest, TruncatesAtExactSegmentBoundary) {
   // All three state segments are below the floor; only the checkpoint's
   // segment (and any empty successor) survives.
   EXPECT_GE(manager.checkpoints()->stats().segments_truncated.load(), 3u);
-  for (const auto& name : WalFiles()) {
-    std::string content;
-    ASSERT_TRUE(env_.ReadFile(name, &content).ok());
-    LogCursor cursor(content);
-    LogRecord out;
-    while (cursor.Next(&out).ok()) {
-      EXPECT_EQ(out.type, LogRecordType::kCheckpoint)
-          << "only the checkpoint may survive truncation";
-    }
-  }
+  ASSERT_TRUE(ForEachWalRecord(env_, std::nullopt, [](LogRecord& out) {
+                EXPECT_EQ(out.type, LogRecordType::kCheckpoint)
+                    << "only the checkpoint may survive truncation";
+              }).ok());
 }
 
 TEST_F(SegmentedLoggerTest, LegacyFilesRetireOnDemand) {
+  const std::string old_segment = WalSegmentFileName(0, 1);
   {
-    // Previous incarnation: legacy-named single-segment log.
+    // Previous incarnation: one segment.
     std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_.NewWritableFile("wal-0.log", &file).ok());
+    ASSERT_TRUE(env_.NewWritableFile(old_segment, &file).ok());
     std::string framed;
     FrameRecord(StateRecord(1, "old"), &framed);
     ASSERT_TRUE(file->Append(framed).ok());
@@ -345,15 +445,15 @@ TEST_F(SegmentedLoggerTest, LegacyFilesRetireOnDemand) {
                       .segment_bytes = 0,
                       .checkpoint_threshold_bytes = 0},
                      &env_, &ex_);
-  // New appends land in a *new* segment past the legacy one.
+  // New appends land in a *new* segment past the previous incarnation's.
   ASSERT_TRUE(
       manager.Append(ActorId{7, 1}, StateRecord(1, "new")).Get().ok());
-  EXPECT_TRUE(env_.FileExists("wal-0.log"));
-  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 1)));
+  EXPECT_TRUE(env_.FileExists(old_segment));
+  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 2)));
 
   EXPECT_EQ(manager.RetireLegacyFiles(), 1u);
-  EXPECT_FALSE(env_.FileExists("wal-0.log"));
-  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 1)));
+  EXPECT_FALSE(env_.FileExists(old_segment));
+  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 2)));
 }
 
 }  // namespace

@@ -23,15 +23,18 @@ class LoggerTest : public ::testing::Test {
   LoggerTest() : ex_(2) {}
   ~LoggerTest() override { ex_.Stop(); }
 
+  /// Where logger 0, built at seq 1, writes its first segment.
+  const std::string kFile = WalSegmentFileName(0, 1);
   Executor ex_;
   MemEnv env_;
 };
 
 TEST_F(LoggerTest, AppendIsDurableWhenResolved) {
-  Logger logger("t.log", &env_, std::make_shared<Strand>(&ex_));
+  Logger logger(0, 1, &env_, std::make_shared<Strand>(&ex_), nullptr, nullptr,
+                0);
   ASSERT_TRUE(logger.Append(Record(1)).Get().ok());
   std::string content;
-  ASSERT_TRUE(env_.ReadFile("t.log", &content).ok());
+  ASSERT_TRUE(env_.ReadFile(kFile, &content).ok());
   LogCursor cursor(content);
   LogRecord out;
   ASSERT_TRUE(cursor.Next(&out).ok());
@@ -39,12 +42,13 @@ TEST_F(LoggerTest, AppendIsDurableWhenResolved) {
 }
 
 TEST_F(LoggerTest, RecordsAppearInAppendOrder) {
-  Logger logger("t.log", &env_, std::make_shared<Strand>(&ex_));
+  Logger logger(0, 1, &env_, std::make_shared<Strand>(&ex_), nullptr, nullptr,
+                0);
   std::vector<Future<Status>> futures;
   for (uint64_t i = 0; i < 100; ++i) futures.push_back(logger.Append(Record(i)));
   for (auto& f : futures) ASSERT_TRUE(f.Get().ok());
   std::string content;
-  ASSERT_TRUE(env_.ReadFile("t.log", &content).ok());
+  ASSERT_TRUE(env_.ReadFile(kFile, &content).ok());
   LogCursor cursor(content);
   LogRecord out;
   for (uint64_t i = 0; i < 100; ++i) {
@@ -55,7 +59,8 @@ TEST_F(LoggerTest, RecordsAppearInAppendOrder) {
 }
 
 TEST_F(LoggerTest, GroupCommitBatchesConcurrentAppends) {
-  Logger logger("t.log", &env_, std::make_shared<Strand>(&ex_));
+  Logger logger(0, 1, &env_, std::make_shared<Strand>(&ex_), nullptr, nullptr,
+                0);
   constexpr int kAppends = 500;
   std::vector<Future<Status>> futures;
   futures.reserve(kAppends);
@@ -68,12 +73,14 @@ TEST_F(LoggerTest, GroupCommitBatchesConcurrentAppends) {
 }
 
 TEST_F(LoggerTest, FlushResolvesWhenIdle) {
-  Logger logger("t.log", &env_, std::make_shared<Strand>(&ex_));
+  Logger logger(0, 1, &env_, std::make_shared<Strand>(&ex_), nullptr, nullptr,
+                0);
   EXPECT_TRUE(logger.Flush().Get().ok());
 }
 
 TEST_F(LoggerTest, StatsAccumulate) {
-  Logger logger("t.log", &env_, std::make_shared<Strand>(&ex_));
+  Logger logger(0, 1, &env_, std::make_shared<Strand>(&ex_), nullptr, nullptr,
+                0);
   logger.Append(Record(1)).Get();
   logger.Append(Record(2)).Get();
   EXPECT_EQ(logger.num_records(), 2u);
@@ -113,11 +120,12 @@ TEST_F(LoggerTest, ManagerAggregateStats) {
 }
 
 TEST_F(LoggerTest, CrashLosesOnlyUnresolvedAppends) {
-  Logger logger("t.log", &env_, std::make_shared<Strand>(&ex_));
+  Logger logger(0, 1, &env_, std::make_shared<Strand>(&ex_), nullptr, nullptr,
+                0);
   ASSERT_TRUE(logger.Append(Record(1)).Get().ok());
   env_.CrashAll();
   std::string content;
-  ASSERT_TRUE(env_.ReadFile("t.log", &content).ok());
+  ASSERT_TRUE(env_.ReadFile(kFile, &content).ok());
   LogCursor cursor(content);
   LogRecord out;
   EXPECT_TRUE(cursor.Next(&out).ok());  // resolved append survived
