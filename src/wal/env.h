@@ -18,8 +18,9 @@
 
 namespace snapper {
 
-/// Append-only file handle. Not thread-safe; each Logger serializes access
-/// through its strand.
+/// Append-only file handle. Not thread-safe; each Logger serializes access:
+/// its strand opens and rolls the file, and its flusher writes one group at
+/// a time.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;

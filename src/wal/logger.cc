@@ -1,6 +1,9 @@
 #include "wal/logger.h"
 
 #include <cassert>
+#include <utility>
+
+#include "common/trace_hooks.h"
 
 namespace snapper {
 
@@ -23,52 +26,40 @@ Future<Status> Logger::Append(LogRecord record) {
                  promise = std::move(promise)]() mutable {
     if (checkpoints_ != nullptr) {
       record.lsn = checkpoints_->AllocLsn();
-      const size_t before = pending_.size();
-      FrameRecord(record, &pending_);
+      const size_t before = pending_.bytes.size();
+      FrameRecord(record, &pending_.bytes);
       CheckpointManager::RecordMeta meta;
       meta.type = record.type;
       meta.actor = record.actor;
       meta.lsn = record.lsn;
-      meta.framed_bytes = pending_.size() - before;
+      meta.framed_bytes = pending_.bytes.size() - before;
       meta.state_bearing = !record.state.empty();
-      pending_meta_.push_back(meta);
+      pending_.meta.push_back(meta);
     } else {
-      FrameRecord(record, &pending_);
+      FrameRecord(record, &pending_.bytes);
     }
-    waiters_.push_back(std::move(promise));
+    pending_.waiters.push_back(std::move(promise));
     num_records_.fetch_add(1);
     ScheduleFlushLocked();
   });
   return future;
 }
 
-Future<Status> Logger::Flush() {
-  Promise<Status> promise;
-  auto future = promise.GetFuture();
-  strand_->Post([this, promise = std::move(promise)]() mutable {
-    if (pending_.empty()) {
-      promise.Set(file_ ? open_status_ : Status::OK());
-      return;
-    }
-    waiters_.push_back(std::move(promise));
-    ScheduleFlushLocked();
-  });
-  return future;
-}
-
 void Logger::ScheduleFlushLocked() {
-  // Runs on the strand. Defer the actual write to a separate strand task so
-  // that appends posted in the meantime join this flush group.
-  if (flush_scheduled_) return;
+  // Runs on the strand. Defer the hand-off to a separate strand task so
+  // that appends posted in the meantime join this group. While a group is
+  // with the flusher, its completion starts the next one.
+  if (flush_scheduled_ || in_flight_) return;
   flush_scheduled_ = true;
   strand_->Post([this]() { DoFlush(); });
 }
 
 void Logger::DoFlush() {
   flush_scheduled_ = false;
-  if (pending_.empty()) return;
-  // Roll at flush boundaries: records are never split across segments, so a
-  // segment may overshoot `segment_bytes_` by at most one flush group.
+  assert(!in_flight_);
+  if (pending_.bytes.empty()) return;
+  // Roll at group boundaries: records are never split across segments, so a
+  // segment may overshoot `segment_bytes_` by at most one group.
   if (segment_bytes_ > 0 && file_ && segment_written_ >= segment_bytes_) {
     file_->Close();
     file_.reset();
@@ -85,36 +76,49 @@ void Logger::DoFlush() {
   }
   if (!open_status_.ok()) {
     const Status failed = open_status_;
-    std::vector<Promise<Status>> waiters;
-    waiters.swap(waiters_);
-    pending_.clear();
-    pending_meta_.clear();
+    Group group;
+    std::swap(group, pending_);
     if (health_ != nullptr) health_->ReportFlush(failed);
-    // Retry the open on the next flush: a transient creation failure must
+    // Retry the open on the next group: a transient creation failure must
     // not wedge this logger (and a quarter of the actor space) forever.
     open_status_ = Status::OK();
-    for (auto& w : waiters) w.Set(failed);
+    for (auto& w : group.waiters) w.Set(failed);
     return;
   }
-  std::string batch;
-  batch.swap(pending_);
-  std::vector<CheckpointManager::RecordMeta> batch_meta;
-  batch_meta.swap(pending_meta_);
-  std::vector<Promise<Status>> waiters;
-  waiters.swap(waiters_);
+  std::swap(flushing_, pending_);
+  if (flusher_ == nullptr) flusher_ = std::make_unique<Executor>(1);
+  in_flight_ = true;
+  // Pinned like a future continuation: the job's storage-fault draws and
+  // its completion's post take their trace context from this turn.
+  flusher_->Post(trace::WrapContinuation([this]() {
+    flush_status_ = file_->Append(flushing_.bytes);
+    if (flush_status_.ok()) {
+      flush_status_ = file_->Sync();
+      num_syncs_.fetch_add(1);
+    }
+    strand_->Post([this]() { OnGroupDone(); });
+  }));
+}
 
-  Status s = file_->Append(batch);
-  if (s.ok()) s = file_->Sync();
-  num_syncs_.fetch_add(1);
-  bytes_written_.fetch_add(batch.size());
-  if (s.ok()) {
-    segment_written_ += batch.size();
-    if (checkpoints_ != nullptr && !batch_meta.empty()) {
-      checkpoints_->OnBatchDurable(index_, seq_, batch_meta);
+void Logger::OnGroupDone() {
+  in_flight_ = false;
+  // Take the group and its outcome out first: DoFlush below hands
+  // `flushing_` and `flush_status_` to the next job.
+  Group group;
+  std::swap(group, flushing_);
+  const Status status = flush_status_;
+  if (status.ok()) {
+    segment_written_ += group.bytes.size();
+    bytes_written_.fetch_add(group.bytes.size());
+    if (checkpoints_ != nullptr && !group.meta.empty()) {
+      checkpoints_->OnBatchDurable(index_, seq_, group.meta);
     }
   }
-  if (health_ != nullptr) health_->ReportFlush(s);
-  for (auto& w : waiters) w.Set(s);
+  if (health_ != nullptr) health_->ReportFlush(status);
+  // Start the next group before resolving this one: once its last waiter
+  // resolves, the owner may destroy this logger.
+  DoFlush();
+  for (auto& w : group.waiters) w.Set(status);
 }
 
 LogManager::LogManager(Options options, Env* env, Executor* executor)

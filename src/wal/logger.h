@@ -2,13 +2,24 @@
 //
 // A small, fixed group of Logger objects is shared by all actors on the
 // machine; an actor picks its logger by hashing its actor ID. Each logger
-// owns one log stream and serializes writes through a strand, which yields
-// group commit for free: appends that arrive while a flush is in progress
-// are batched into the next flush (one write+sync for the whole group),
-// "constraining the number of log files, reducing random IO and amortizing
-// IO cost by batching".
+// owns one log stream and forms group commits on a strand: appends that
+// arrive while a group is being written are batched into the next group
+// (one write+sync for the whole group), "constraining the number of log
+// files, reducing random IO and amortizing IO cost by batching".
 //
-// A logger's stream is a sequence of segment files, rolled at flush
+// The write+sync itself runs on the logger's flusher thread, never on an
+// executor worker, so a sync parks no actor turn. The flusher writes one
+// group per logger at a time, which keeps durability FIFO per logger. A
+// group's buffers (framed bytes, durability metadata, waiters' promises)
+// are owned by
+//   1. the strand while the group forms (`pending_`);
+//   2. the flusher job from the moment the strand's DoFlush turn moves them
+//      to `flushing_` and posts the job;
+//   3. the completion turn the job posts back to the strand, which takes
+//      them out of `flushing_`, reports durability and health, starts the
+//      next group and resolves the group's waiters last.
+//
+// A logger's stream is a sequence of segment files, rolled at group
 // boundaries once a segment reaches the configured size. With a
 // CheckpointManager attached, each logger also stamps every record with a
 // global LSN at append time and reports per-record durability, so
@@ -31,7 +42,7 @@
 namespace snapper {
 
 /// Shared WAL device health across the logger group: flips to degraded on a
-/// flush failure and recovers on the next successful flush. SnapperRuntime
+/// failed group and recovers on the next durable one. SnapperRuntime
 /// consults it to fail new transactional submissions fast while the device
 /// is out (sticky device failures stay degraded), while non-transactional
 /// calls — which never log — keep working.
@@ -61,31 +72,50 @@ class Logger {
   /// Logger `index`, writing segment files `wal-<index>-<seq>.log` from
   /// `start_seq` on (past the previous incarnation's highest so its files
   /// are never overwritten). `strand` must be dedicated to this logger.
-  /// `health` (may be null) receives the outcome of every flush. Rolls at
-  /// the first flush boundary where the current segment has `segment_bytes`
+  /// `health` (may be null) receives the outcome of every group. Rolls at
+  /// the first group boundary where the current segment has `segment_bytes`
   /// or more (0 = never). With `checkpoints` (may be null) it stamps LSNs
-  /// and reports segment lifecycle and per-record durability.
+  /// and reports segment lifecycle and per-record durability. The flusher
+  /// thread starts with the first group.
+  ///
+  /// Destruction joins the flusher. Destroy a logger only once no group is
+  /// in flight or `strand`'s executor has stopped: the completion of a group
+  /// still in flight would otherwise run on the strand after the logger is
+  /// gone (with the executor stopped it is dropped, its waiters unset).
   Logger(size_t index, uint64_t start_seq, Env* env,
          std::shared_ptr<Strand> strand, WalHealth* health,
          CheckpointManager* checkpoints, size_t segment_bytes);
 
+  Logger(const Logger&) = delete;
+  Logger& operator=(const Logger&) = delete;
+
   /// Durably appends `record`; the future resolves after the enclosing group
-  /// flush has synced. Safe from any thread. With a CheckpointManager the
+  /// has synced. Safe from any thread. With a CheckpointManager the
   /// record's `lsn` field is assigned on the strand at buffering time.
   Future<Status> Append(LogRecord record);
-
-  /// Resolves when all appends enqueued so far are durable.
-  Future<Status> Flush();
 
   /// This logger's index: its segments are `wal-<index>-<seq>.log`.
   size_t index() const { return index_; }
   uint64_t num_records() const { return num_records_.load(); }
+  /// Syncs that ran, failed ones included.
   uint64_t num_syncs() const { return num_syncs_.load(); }
+  /// Bytes of the groups that became durable.
   uint64_t bytes_written() const { return bytes_written_.load(); }
 
  private:
+  /// One group commit: framed records, their durability metadata, and the
+  /// promises awaiting them.
+  struct Group {
+    std::string bytes;
+    std::vector<CheckpointManager::RecordMeta> meta;
+    std::vector<Promise<Status>> waiters;
+  };
+
   void ScheduleFlushLocked();
+  /// Hands the pending group to the flusher (strand only).
   void DoFlush();
+  /// The completion turn of the group the flusher wrote (strand only).
+  void OnGroupDone();
 
   std::string file_name_;  ///< Current segment's file (strand only).
   Env* env_;
@@ -96,21 +126,33 @@ class Logger {
   size_t index_ = 0;
   uint64_t seq_ = 0;          ///< Current segment sequence (strand only).
   size_t segment_written_ = 0;  ///< Durable bytes in the current segment.
-  /// Opened lazily on the first flush, as a fresh segment, so that recovery
-  /// reads the previous incarnation's log before this one writes.
+  /// Opened lazily on the first group, as a fresh segment, so that recovery
+  /// reads the previous incarnation's log before this one writes. Opened,
+  /// rolled and closed on the strand; written by the flusher job of the
+  /// group in flight, and by nothing else meanwhile.
   std::unique_ptr<WritableFile> file_;
   Status open_status_;
 
-  // Buffered frames, their durability metadata, and the promises awaiting
-  // their flush. Only touched on the strand.
-  std::string pending_;
-  std::vector<CheckpointManager::RecordMeta> pending_meta_;
-  std::vector<Promise<Status>> waiters_;
+  // Strand-only group state: the next group, and whether a DoFlush turn is
+  // queued or a group is with the flusher.
+  Group pending_;
   bool flush_scheduled_ = false;
+  bool in_flight_ = false;
+
+  // The group in flight and its outcome: handed over by DoFlush, written by
+  // the flusher job, read by the completion turn. Each step happens after
+  // the previous one through the flusher's and the strand's queues.
+  Group flushing_;
+  Status flush_status_;
 
   std::atomic<uint64_t> num_records_{0};
   std::atomic<uint64_t> num_syncs_{0};
   std::atomic<uint64_t> bytes_written_{0};
+
+  /// One-thread pool that runs each group's Append+Sync. Declared last so
+  /// that it is destroyed, and joined, before the file, strand and group
+  /// state its job touches.
+  std::unique_ptr<Executor> flusher_;
 };
 
 /// The shared group of loggers. `LoggerFor` implements the paper's "simple
@@ -120,7 +162,7 @@ class LogManager {
   struct Options {
     size_t num_loggers = 4;
     /// When false, Append resolves immediately without any I/O — the
-    /// "CC only" configurations of Fig. 12.
+    /// "CC only" configurations of Fig. 12 — and no flusher thread starts.
     bool enable_logging = true;
     /// Segment roll size for each logger (0 = single growing segment that
     /// is never truncated).

@@ -124,9 +124,12 @@ TEST_F(StateImageTest, CheckpointPayloadIsCommittedImage) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(Transfer(TxnMode::kPact, 1, 2).ok());
   }
-  // The last commit's promotion re-requests a checkpoint at the next
-  // quiescent turn boundary; wait for it to land.
-  const std::string image = States(*rt_, Acc(1)).second.Encode();
+  // The last commit reaches the participant after the client's result
+  // resolves, and its promotion re-requests a checkpoint at the next
+  // quiescent turn boundary; wait for both to land.
+  const std::string image =
+      LastPayloads(env_, LogRecordType::kBatchComplete)[Acc(1)];
+  ASSERT_TRUE(CommittedImageBecomes(*rt_, Acc(1), image));
   bool matched = false;
   for (int spin = 0; spin < 2000 && !matched; ++spin) {
     auto checkpoints = LastPayloads(env_, LogRecordType::kCheckpoint);
@@ -136,7 +139,6 @@ TEST_F(StateImageTest, CheckpointPayloadIsCommittedImage) {
     if (!matched) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(matched);
-  EXPECT_EQ(LastPayloads(env_, LogRecordType::kBatchComplete)[Acc(1)], image);
 }
 
 // States stay the logged bytes through every install path. After a run
