@@ -131,6 +131,7 @@ PACT_ENTRY_QNAMES = {
     "LocalSchedule::MarkBatchCommitted",
     "CommitSequencer::RegisterEmitted",
     "CommitSequencer::RequestCommit",
+    "CommitSequencer::ReleaseSuccessor",
     "CommitSequencer::MarkCommitted",
 }
 

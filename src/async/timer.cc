@@ -105,22 +105,4 @@ void TimerService::Loop() {
   }
 }
 
-Future<Status> AwaitStatusWithTimeout(TimerService& timers, Future<Status> f,
-                                      std::chrono::milliseconds timeout) {
-  // Fast path: already resolved (uncontended locks, empty schedules) — no
-  // timer bookkeeping needed. Disabled under tracing: whether ready() is
-  // observed true here is timing-sensitive, and this branch returns `f`
-  // itself (no fresh state), which would desynchronize the record and
-  // replay runs' context draws.
-  if (!trace::Active() && f.ready()) return f;
-  auto state = std::make_shared<FutureState<Status>>();
-  TimerId id = timers.Schedule(timeout, [state] {
-    state->TrySet(Status::TimedOut("wait timed out"));
-  });
-  f.OnReady([state, f, &timers, id]() {
-    if (state->TrySet(f.Peek())) timers.Cancel(id);
-  });
-  return Future<Status>(state);
-}
-
 }  // namespace snapper

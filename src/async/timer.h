@@ -57,15 +57,9 @@ class TimerService {
   std::thread thread_;
 };
 
-/// Races `f` against a timeout: the result future resolves with `f`'s status
-/// if it arrives in time, otherwise with Status::TimedOut. First-wins; the
-/// loser's resolution is discarded.
-Future<Status> AwaitStatusWithTimeout(TimerService& timers, Future<Status> f,
-                                      std::chrono::milliseconds timeout);
-
-/// Generalization of AwaitStatusWithTimeout for arbitrary result types: the
-/// result future resolves with `f`'s value if it arrives in time, otherwise
-/// with `fallback`. An *exceptional* resolution of `f` also maps to
+/// Races `f` against a timeout: the result future resolves with `f`'s value
+/// if it arrives in time, otherwise with `fallback`. First-wins; the loser's
+/// resolution is discarded. An *exceptional* resolution of `f` also maps to
 /// `fallback`: the 2PC and cleanup paths that use this treat "no answer",
 /// "timed out", and "errored" identically (conservative vote-no / proceed).
 /// `on_timeout`, if set, runs only when the timer decided the result.
@@ -74,18 +68,18 @@ Future<T> AwaitWithFallback(TimerService& timers, Future<T> f,
                             std::chrono::milliseconds timeout,
                             WrapVoid<T> fallback,
                             std::function<void()> on_timeout = nullptr) {
-  auto state = std::make_shared<FutureState<T>>();
-  // Fast path disabled under tracing: the ready() observation is
-  // timing-sensitive and must not change the structure of context draws
-  // between record and replay (see AwaitStatusWithTimeout).
+  // Fast path: already resolved (uncontended locks, empty schedules) — no
+  // timer bookkeeping, and a value needs no fresh state. Disabled under
+  // tracing: whether ready() is observed true here is timing-sensitive, and
+  // returning `f` itself (no fresh state) would desynchronize the record
+  // and replay runs' context draws.
   if (!trace::Active() && f.ready()) {
-    try {
-      state->TrySet(f.Peek());
-    } catch (...) {
-      state->TrySet(fallback);
-    }
+    if (!f.state()->has_exception()) return f;
+    auto state = std::make_shared<FutureState<T>>();
+    state->TrySet(fallback);
     return Future<T>(state);
   }
+  auto state = std::make_shared<FutureState<T>>();
   TimerId id = timers.Schedule(
       timeout, [state, fallback, on_timeout = std::move(on_timeout)]() {
         if (state->TrySet(fallback) && on_timeout) on_timeout();
@@ -100,6 +94,15 @@ Future<T> AwaitWithFallback(TimerService& timers, Future<T> f,
     if (won) timers.Cancel(id);
   });
   return Future<T>(state);
+}
+
+/// AwaitWithFallback for status waits: Status::TimedOut if `f` does not
+/// resolve within `timeout`.
+inline Future<Status> AwaitStatusWithTimeout(
+    TimerService& timers, Future<Status> f,
+    std::chrono::milliseconds timeout) {
+  return AwaitWithFallback<Status>(timers, std::move(f), timeout,
+                                   Status::TimedOut("wait timed out"));
 }
 
 }  // namespace snapper

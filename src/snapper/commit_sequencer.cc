@@ -14,6 +14,10 @@ bool CommitSequencer::IsCommittedLocked(uint64_t bid) const {
   return watermark_ != kNoBid && bid <= watermark_ && aborted_.count(bid) == 0;
 }
 
+bool CommitSequencer::IsReleasedLocked(uint64_t bid) const {
+  return released_ != kNoBid && bid <= released_ && aborted_.count(bid) == 0;
+}
+
 bool CommitSequencer::IsCommitted(uint64_t bid) const {
   MutexLock lock(&mu_);
   return IsCommittedLocked(bid);
@@ -36,7 +40,7 @@ void CommitSequencer::RequestCommit(uint64_t bid,
     } else {
       auto it = emitted_.find(bid);
       const uint64_t prev = it == emitted_.end() ? kNoBid : it->second.prev_bid;
-      if (prev == kNoBid || IsCommittedLocked(prev)) {
+      if (prev == kNoBid || IsReleasedLocked(prev)) {
         emitted_.erase(bid);
         committing_.insert(bid);  // protected from aborts from here on
         immediate = Status::OK();
@@ -49,6 +53,33 @@ void CommitSequencer::RequestCommit(uint64_t bid,
   if (fire) cb(immediate);
 }
 
+std::function<void(Status)> CommitSequencer::ReleaseSuccessorLocked(
+    uint64_t bid) {
+  released_ = (released_ == kNoBid) ? bid : std::max(released_, bid);
+  // The (single, linear-chain) successor's pending request, if it came in
+  // before this release.
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    auto emitted = emitted_.find(it->first);
+    if (emitted != emitted_.end() && emitted->second.prev_bid == bid) {
+      std::function<void(Status)> cb = std::move(it->second);
+      emitted_.erase(emitted);
+      committing_.insert(it->first);
+      pending_.erase(it);
+      return cb;
+    }
+  }
+  return nullptr;
+}
+
+void CommitSequencer::ReleaseSuccessor(uint64_t bid) {
+  std::function<void(Status)> successor_cb;
+  {
+    MutexLock lock(&mu_);
+    successor_cb = ReleaseSuccessorLocked(bid);
+  }
+  if (successor_cb) successor_cb(Status::OK());
+}
+
 void CommitSequencer::MarkCommitted(uint64_t bid) {
   std::function<void(Status)> successor_cb;
   std::vector<Promise<Status>> resolved;
@@ -59,17 +90,7 @@ void CommitSequencer::MarkCommitted(uint64_t bid) {
     num_committed_++;
     committing_.erase(bid);
     emitted_.erase(bid);  // defensive: normally erased at cb-fire time
-    // Release the (single, linear-chain) successor's pending request.
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      auto prev_it = emitted_.find(it->first);
-      if (prev_it != emitted_.end() && prev_it->second.prev_bid == bid) {
-        successor_cb = std::move(it->second);
-        emitted_.erase(prev_it);
-        committing_.insert(it->first);
-        pending_.erase(it);
-        break;
-      }
-    }
+    successor_cb = ReleaseSuccessorLocked(bid);
     // Resolve WaitCommitted futures now covered by the watermark.
     for (auto it = waiters_.begin();
          it != waiters_.end() && it->first <= watermark_;) {

@@ -12,10 +12,16 @@
 //     round records the durable BatchAbort.
 //
 // Batch lifecycle: emitted -> (commit-eligible cb fired) committing ->
-// committed, or emitted -> aborted. A batch in `committing` (its coordinator
-// is persisting the BatchCommit record) is never aborted: BeginAbort lets it
-// finish and reports a drain future instead — this keeps the durable commit
-// decision and the in-memory abort decision consistent.
+// committed, or emitted -> aborted. Inside `committing`, ReleaseSuccessor
+// marks the point where the batch's BatchCommit record is queued on the
+// commit logger: from there its successor may commit too, and its record
+// queues behind this one. Per-logger FIFO durability then makes a durable
+// BatchCommit imply that every predecessor's is durable, so the chain
+// commits in order without one sync per batch, and several batches can be
+// committing at once. A batch leaves `committing` at MarkCommitted, once its
+// own record is durable. A committing batch is never aborted: BeginAbort
+// lets every one finish and reports a drain future instead — this keeps the
+// durable commit decision and the in-memory abort decision consistent.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +46,25 @@ class CommitSequencer {
   void RegisterEmitted(uint64_t bid, uint64_t prev_bid, uint64_t coordinator);
 
   /// All BatchComplete acks arrived for `bid`; `cb` fires (possibly inline,
-  /// on an arbitrary thread) with OK once the predecessor has committed —
-  /// at which point `bid` enters the protected `committing` stage — or with
-  /// an abort status if a global abort claims it first. On OK the caller
-  /// logs BatchCommit and then calls MarkCommitted.
+  /// on an arbitrary thread) with OK once the predecessor is released (see
+  /// ReleaseSuccessor) — at which point `bid` enters the protected
+  /// `committing` stage — or with an abort status if a global abort claims
+  /// it first. On OK the caller queues BatchCommit on the commit logger,
+  /// calls ReleaseSuccessor, and calls MarkCommitted once the record is
+  /// durable.
   void RequestCommit(uint64_t bid, std::function<void(Status)> cb);
 
-  /// Batch `bid` is durably committed: advances the watermark, releases the
-  /// successor's pending commit request and any WaitCommitted futures.
+  /// Committing batch `bid`'s BatchCommit record is queued on the commit
+  /// logger: releases the successor's pending commit request, so the
+  /// successor's record queues behind this one. `bid` stays committing
+  /// until MarkCommitted. Idempotent.
+  void ReleaseSuccessor(uint64_t bid);
+
+  /// Batch `bid` is durably committed: advances the watermark, resolves any
+  /// WaitCommitted futures it covers and releases the successor if
+  /// ReleaseSuccessor has not. May run out of bid order: the watermark is a
+  /// max, and FIFO durability on the commit logger makes every bid below a
+  /// durable one durable too.
   void MarkCommitted(uint64_t bid);
 
   struct AbortOutcome {
@@ -82,11 +99,20 @@ class CommitSequencer {
 
  private:
   bool IsCommittedLocked(uint64_t bid) const REQUIRES(mu_);
+  bool IsReleasedLocked(uint64_t bid) const REQUIRES(mu_);
+  /// Raises `released_` to `bid` and hands back the successor's pending
+  /// callback, if any, now in `committing`.
+  std::function<void(Status)> ReleaseSuccessorLocked(uint64_t bid)
+      REQUIRES(mu_);
 
   mutable Mutex mu_;
-  /// Max committed bid; commits happen in bid order, so bid <= watermark_ &&
-  /// !aborted means committed.
+  /// Max committed bid; records become durable in bid order, so bid <=
+  /// watermark_ && !aborted means committed.
   uint64_t watermark_ GUARDED_BY(mu_) = kNoBid;
+  /// Max released bid (its BatchCommit record is queued, or it committed);
+  /// releases happen in chain order, so bid <= released_ && !aborted means
+  /// released.
+  uint64_t released_ GUARDED_BY(mu_) = kNoBid;
   uint64_t num_committed_ GUARDED_BY(mu_) = 0;
   std::unordered_set<uint64_t> aborted_ GUARDED_BY(mu_);
   struct Emitted {
@@ -96,7 +122,8 @@ class CommitSequencer {
   /// bid -> chain predecessor and forming coordinator, for emitted,
   /// undecided batches.
   std::unordered_map<uint64_t, Emitted> emitted_ GUARDED_BY(mu_);
-  /// Batches whose commit callback fired but MarkCommitted hasn't run.
+  /// Batches whose commit callback fired but MarkCommitted hasn't run: their
+  /// BatchCommit record is not durable yet.
   std::unordered_set<uint64_t> committing_ GUARDED_BY(mu_);
   /// Pending commit requests: bid -> callback.
   std::unordered_map<uint64_t, std::function<void(Status)>> pending_

@@ -45,16 +45,20 @@ struct SnapperConfig {
   /// Minimum time between two batches formed by the same coordinator — the
   /// epoch length of §4.2.2's epoch-based batching. In the paper the token's
   /// circulation time over Orleans messaging sets this implicitly (ms
-  /// scale); an in-process ring cycles in microseconds, so without a floor
-  /// batches would hold ~1 PACT and amortize nothing. Trades batch size
-  /// (throughput) against PACT latency.
-  std::chrono::microseconds min_batch_interval{4000};
+  /// scale); an in-process ring cycles in microseconds, so it needs an
+  /// explicit floor. The commit chain costs no sync per batch (see
+  /// CommitSequencer), so shorter epochs cut PACT latency; but every batch
+  /// writes its own BatchInfo, BatchComplete images and BatchCommit, so
+  /// below the default a hot set's WAL bytes per commit and its ACTs'
+  /// act_wait_timeout stalls grow. DESIGN.md §3b item 5 has the sweep that
+  /// chose the default.
+  std::chrono::microseconds min_batch_interval{2000};
 
   /// Timeout that breaks PACT-ACT deadlocks in hybrid execution (§4.4.2):
   /// applied to every ACT wait (schedule gates, lock waits, commit waits).
-  /// Calibrated well above legitimate wait tails (batch commit ~10-20ms)
-  /// but small enough that recurring hot-actor deadlocks cost milliseconds,
-  /// not epochs.
+  /// Calibrated well above legitimate wait tails (a batch's commit p99 is
+  /// 3-7 ms on the snapbench workloads) but small enough that recurring
+  /// hot-actor deadlocks cost milliseconds, not epochs.
   std::chrono::milliseconds act_wait_timeout{150};
 
   /// Randomized message-delay injection for determinism tests (0 = off).

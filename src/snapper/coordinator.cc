@@ -356,6 +356,14 @@ Task<void> CoordinatorActor::CommitBatch(uint64_t bid) {
     LogRecord record;
     record.type = LogRecordType::kBatchCommit;
     record.id = bid;
+    // Every BatchCommit record goes to one commit logger, in chain order:
+    // the successor is released only once this append has been posted, so
+    // its record queues behind this one. Per-logger FIFO durability then
+    // makes this record's durability imply every predecessor's, and
+    // consecutive batches share one group sync instead of taking one each.
+    Future<Status> durable =
+        ctx.log_manager->LoggerForCoordinator(kCommitLogger).Append(record);
+    ctx.sequencer.ReleaseSuccessor(bid);
     // The commit decision is already durable at this point: every
     // participant's BatchComplete record is on disk (that is what made the
     // batch commit-eligible) and the chain committed in order, which is
@@ -363,7 +371,7 @@ Task<void> CoordinatorActor::CommitBatch(uint64_t bid) {
     // accelerates recovery, so a failed write must not abort the batch —
     // aborting here would diverge from what recovery reconstructs. Commit
     // regardless of the append's outcome.
-    co_await ctx.log_manager->LoggerForCoordinator(index_).Append(record);
+    co_await durable;
     it = batches_.find(bid);
     if (it == batches_.end()) co_return;
   }

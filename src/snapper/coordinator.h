@@ -46,6 +46,11 @@ class CoordinatorActor : public ActorBase {
  public:
   explicit CoordinatorActor(uint64_t index) : index_(index) {}
 
+  /// Every coordinator writes its BatchCommit records to
+  /// `LoggerForCoordinator(kCommitLogger)`, the commit logger, in chain
+  /// order (see CommitSequencer::ReleaseSuccessor).
+  static constexpr uint64_t kCommitLogger = 0;
+
   /// Registers a PACT (root actor + actorAccessInfo); the returned context
   /// is resolved once the PACT is placed into a batch and the batch's
   /// BatchInfo record is durable.
@@ -111,7 +116,9 @@ class CoordinatorActor : public ActorBase {
   /// Logs BatchInfo then emits sub-batches and resolves contexts.
   Task<void> LogAndEmitBatch(uint64_t bid);
 
-  /// Commit path once the sequencer releases this batch in bid order.
+  /// Commit path once the sequencer releases this batch in bid order:
+  /// queues BatchCommit on the commit logger, releases the successor, and
+  /// marks the batch committed once its record is durable.
   Task<void> CommitBatch(uint64_t bid);
 
   /// Deterministic abort of a batch that cannot commit (dead participant,

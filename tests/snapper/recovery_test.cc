@@ -8,9 +8,14 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "snapper/coordinator.h"
 #include "snapper/snapper_runtime.h"
 #include "tests/common/watchdog.h"
 #include "wal/checkpoint.h"
@@ -776,6 +781,318 @@ TEST(RecoveryManagerTest, TruncationRacingRecoverySkipsVanishedSegment) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_DOUBLE_EQ(RecoveredState(result.value(), actor).AsDouble(), 104.0);
   EXPECT_EQ(result.value().scanned_records, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The pipelined commit chain: every BatchCommit record goes to one commit
+// logger in chain order, and a batch releases its successor once its record
+// is queued there, not once it is durable.
+// ---------------------------------------------------------------------------
+
+size_t CommitLoggerIndex(SnapperRuntime& rt) {
+  return rt.log_manager()
+      .LoggerForCoordinator(CoordinatorActor::kCommitLogger)
+      .index();
+}
+
+TEST(CommitLoggerTest, BatchCommitsAreOnTheCommitLoggerInBidOrder) {
+  MemEnv env;
+  size_t commit_logger = 0;
+  size_t num_loggers = 0;
+  {
+    SnapperRuntime rt(SnapperConfig{}, &env);
+    const uint32_t type = smallbank::RegisterSmallBank(rt);
+    rt.Start();
+    commit_logger = CommitLoggerIndex(rt);
+    num_loggers = rt.log_manager().num_loggers();
+    // Waves of PACTs whose roots spread over every coordinator, so every
+    // coordinator forms batches and the chain alternates between them.
+    for (uint64_t wave = 0; wave < 25; ++wave) {
+      std::vector<Future<TxnResult>> futures;
+      for (uint64_t i = 0; i < 8; ++i) {
+        const uint64_t from = (wave * 8 + i) % 32;
+        const uint64_t to = (from + 1 + i) % 32;
+        futures.push_back(rt.SubmitPact(
+            ActorId{type, from}, "MultiTransfer",
+            SmallBankActor::MultiTransferInput(1.0, {to}),
+            SmallBankActor::MultiTransferAccessInfo(type, from, {to})));
+      }
+      ASSERT_EQ(0u, testing::WaitAllResolved(futures, 30.0));
+      for (auto& f : futures) ASSERT_TRUE(f.Peek().ok());
+    }
+  }
+  std::vector<uint64_t> commits;
+  for (size_t logger = 0; logger < num_loggers; ++logger) {
+    ASSERT_TRUE(ForEachWalRecord(env, logger, [&](LogRecord& r) {
+                  if (r.type != LogRecordType::kBatchCommit) return;
+                  EXPECT_EQ(logger, commit_logger) << "bid " << r.id;
+                  commits.push_back(r.id);
+                }).ok());
+  }
+  ASSERT_GE(commits.size(), 25u);
+  for (size_t i = 1; i < commits.size(); ++i) {
+    EXPECT_LT(commits[i - 1], commits[i]) << "record " << i;
+  }
+}
+
+/// Appends its transaction's tid to its state, a list of tids, and calls
+/// the same on `targets`. `batches` maps every tid that ever ran to its
+/// batch, committed or not, so a test can map recovered tids to batches.
+class TidLogActor : public TransactionalActor {
+ public:
+  struct Batches {
+    std::mutex mu;
+    std::map<uint64_t, uint64_t> bid_of_tid;
+  };
+
+  explicit TidLogActor(std::shared_ptr<Batches> batches)
+      : batches_(std::move(batches)) {
+    RegisterMethod("Append", [this](TxnContext& ctx, Value in) {
+      return Append(ctx, std::move(in));
+    });
+  }
+
+  Value InitialState() const override { return Value(ValueList{}); }
+
+ private:
+  Task<Value> Append(TxnContext& ctx, Value input) {
+    {
+      std::lock_guard<std::mutex> lock(batches_->mu);
+      batches_->bid_of_tid[ctx.tid] = ctx.bid;
+    }
+    Value* state = co_await GetState(ctx, AccessMode::kReadWrite);
+    ValueList tids = state->AsList();
+    tids.push_back(Value(ctx.tid));
+    *state = Value(std::move(tids));
+    std::vector<Future<Value>> calls;
+    if (input.is_map()) {
+      for (const Value& target : input["targets"].AsList()) {
+        FuncCall call;
+        call.method = "Append";
+        calls.push_back(CallActorAsync(
+            ctx, ActorId{id().type, static_cast<uint64_t>(target.AsInt())},
+            std::move(call)));
+      }
+    }
+    for (auto& call : calls) co_await call;
+    co_return Value(ctx.tid);
+  }
+
+  std::shared_ptr<Batches> batches_;
+};
+
+/// MemEnv decorator for a crash with BatchCommit records in flight: syncs
+/// of one logger's segments wait at a gate, and Freeze() fixes the durable
+/// image — every later sync fails, so whatever the runtime does while it
+/// shuts down, the base holds exactly what was durable at the freeze.
+class CommitGateEnv : public Env {
+ public:
+  CommitGateEnv(Env* base, size_t gated_logger)
+      : base_(base), gated_logger_(gated_logger) {}
+
+  Status NewWritableFile(const std::string& name,
+                         std::unique_ptr<WritableFile>* file) override {
+    std::unique_ptr<WritableFile> inner;
+    Status s = base_->NewWritableFile(name, &inner);
+    size_t logger = 0;
+    uint64_t seq = 0;
+    const bool gated =
+        ParseWalFileName(name, &logger, &seq) && logger == gated_logger_;
+    if (s.ok()) *file = std::make_unique<File>(std::move(inner), this, gated);
+    return s;
+  }
+  Status ReadFile(const std::string& name, std::string* out) override {
+    return base_->ReadFile(name, out);
+  }
+  Status DeleteFile(const std::string& name) override {
+    return base_->DeleteFile(name);
+  }
+  bool FileExists(const std::string& name) override {
+    return base_->FileExists(name);
+  }
+  std::vector<std::string> ListFiles() override { return base_->ListFiles(); }
+
+  void CloseGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  void OpenGate() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = false;
+    }
+    cv_.notify_all();
+  }
+  void Freeze() {
+    std::lock_guard<std::mutex> lock(mu_);
+    frozen_ = true;
+  }
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(std::unique_ptr<WritableFile> inner, CommitGateEnv* env, bool gated)
+        : inner_(std::move(inner)), env_(env), gated_(gated) {}
+    Status Append(std::string_view data) override {
+      return inner_->Append(data);
+    }
+    Status Sync() override {
+      if (!env_->PassGate(gated_)) return Status::IOError("frozen");
+      return inner_->Sync();
+    }
+    Status Close() override { return inner_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> inner_;
+    CommitGateEnv* env_;
+    bool gated_;
+  };
+
+  /// Waits at the gate if `gated`; false once frozen.
+  bool PassGate(bool gated) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (gated) cv_.wait(lock, [&] { return !closed_; });
+    return !frozen_;
+  }
+
+  Env* base_;
+  const size_t gated_logger_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;
+  bool frozen_ = false;
+};
+
+// A crash while several batches' BatchCommit records sit queued, undurable,
+// on the commit logger. Every PACT acked before the crash must survive, and
+// recovery must commit a prefix of the batch chain. With one BatchCommit
+// sync per chain step, the gate would hold the whole chain at its first
+// queued record. Checkpointing and small segments are on, so truncation
+// runs under the chain, and recovery reads a cut WAL.
+TEST(CommitLoggerTest, CrashWithQueuedBatchCommitsRecoversAckedChainPrefix) {
+  MemEnv base;
+  SnapperConfig config;
+  config.num_workers = 2;
+  config.num_coordinators = 2;
+  config.num_loggers = 2;
+  config.checkpoint_threshold_bytes = 256;
+  config.wal_segment_bytes = 1024;
+  auto batches = std::make_shared<TidLogActor::Batches>();
+  auto register_type = [&](SnapperRuntime& rt) {
+    return rt.RegisterActorType("TidLog", [batches](uint64_t) {
+      return std::make_shared<TidLogActor>(batches);
+    });
+  };
+  std::vector<uint64_t> keys;
+  std::map<uint64_t, std::vector<uint64_t>> acked_tids;  // key -> tids
+  {
+    SnapperRuntime probe(config, &base);
+    const uint32_t type = register_type(probe);
+    const size_t commit_logger = CommitLoggerIndex(probe);
+    // Actors whose records, coordinator and BatchInfo all live off the
+    // commit logger: the gate then holds back nothing but BatchCommits.
+    for (uint64_t k = 0; keys.size() < 8; ++k) {
+      const ActorId id{type, k};
+      if (probe.log_manager().LoggerFor(id).index() != commit_logger &&
+          probe.context().CoordinatorFor(id).key != commit_logger) {
+        keys.push_back(k);
+      }
+    }
+  }
+  CommitGateEnv env(&base, /*gated_logger=*/0);
+  {
+    SnapperRuntime rt(config, &env);
+    // However this scope is left, the durable image is fixed and the gate
+    // opened before the runtime shuts down: a gated flusher would block it.
+    struct CrashOnExit {
+      CommitGateEnv* env;
+      ~CrashOnExit() {
+        env->Freeze();
+        env->OpenGate();
+      }
+    } crash_on_exit{&env};
+    const uint32_t type = register_type(rt);
+    ASSERT_EQ(CommitLoggerIndex(rt), 0u);
+    rt.Start();
+    Rng rng(11);
+    struct Submitted {
+      std::vector<uint64_t> keys;
+      Future<TxnResult> future;
+    };
+    std::vector<Submitted> submitted;
+    auto submit = [&]() {
+      const uint64_t root = keys[rng.Uniform(keys.size())];
+      uint64_t target = root;
+      while (target == root) target = keys[rng.Uniform(keys.size())];
+      ActorAccessInfo info{{ActorId{type, root}, 1},
+                           {ActorId{type, target}, 1}};
+      Value input(ValueMap{{"targets", Value(ValueList{Value(target)})}});
+      submitted.push_back(
+          {{root, target},
+           rt.SubmitPact(ActorId{type, root}, "Append", std::move(input),
+                         std::move(info))});
+    };
+    for (int i = 0; i < 40; ++i) submit();
+    std::vector<Future<TxnResult>> warmup;
+    for (const auto& s : submitted) warmup.push_back(s.future);
+    ASSERT_EQ(0u, testing::WaitAllResolved(warmup, 30.0));
+
+    Logger& commit_logger = rt.log_manager().logger(0);
+    const uint64_t before = commit_logger.num_records();
+    env.CloseGate();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (commit_logger.num_records() < before + 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+      submit();
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    ASSERT_GE(commit_logger.num_records(), before + 3)
+        << "the chain stalled behind an undurable BatchCommit";
+    for (const auto& s : submitted) {
+      if (!s.future.ready() || !s.future.Peek().ok()) continue;
+      const uint64_t tid =
+          static_cast<uint64_t>(s.future.Peek().value.AsInt());
+      for (uint64_t k : s.keys) acked_tids[k].push_back(tid);
+    }
+  }
+  base.CrashAll();
+
+  SnapperRuntime rt(config, &base);
+  const uint32_t type = register_type(rt);
+  auto result = rt.Recover();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::set<uint64_t> recovered_bids;
+  std::map<uint64_t, std::set<uint64_t>> recovered_tids;  // key -> tids
+  {
+    std::lock_guard<std::mutex> lock(batches->mu);
+    for (const auto& [actor, image] : result.value().actor_states) {
+      if (actor.type != type) continue;
+      const Value state = RecoveredState(result.value(), actor);
+      for (const Value& tid : state.AsList()) {
+        const uint64_t t = static_cast<uint64_t>(tid.AsInt());
+        recovered_tids[actor.key].insert(t);
+        ASSERT_EQ(batches->bid_of_tid.count(t), 1u) << "tid " << t;
+        recovered_bids.insert(batches->bid_of_tid.at(t));
+      }
+    }
+    // Recovered batches are a prefix of the chain: bids grow along it.
+    for (const auto& [tid, bid] : batches->bid_of_tid) {
+      if (recovered_bids.count(bid) > 0) continue;
+      ASSERT_TRUE(recovered_bids.empty() || bid > *recovered_bids.rbegin())
+          << "batch " << bid << " lost below recovered batch "
+          << *recovered_bids.rbegin();
+    }
+  }
+  size_t acked = 0;
+  for (const auto& [key, tids] : acked_tids) {
+    for (uint64_t tid : tids) {
+      ++acked;
+      EXPECT_EQ(recovered_tids[key].count(tid), 1u)
+          << "acked tid " << tid << " lost on key " << key;
+    }
+  }
+  EXPECT_GE(acked, 80u);  // the 40 warm-up PACTs, two actors each
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // topological sort, across pure-PACT, pure-ACT and hybrid workloads.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <queue>
 #include <set>
@@ -29,6 +30,9 @@ class VersionProbeActor : public TransactionalActor {
     RegisterMethod("BumpFanout", [this](TxnContext& ctx, Value in) {
       return BumpFanout(ctx, std::move(in));
     });
+    RegisterMethod("Version", [this](TxnContext& ctx, Value in) {
+      return Version(ctx, std::move(in));
+    });
   }
 
   Value InitialState() const override { return Value(int64_t{0}); }
@@ -39,6 +43,11 @@ class VersionProbeActor : public TransactionalActor {
     const int64_t version = state->AsInt();
     *state = Value(version + 1);
     co_return Value(version);
+  }
+
+  Task<Value> Version(TxnContext& ctx, Value) {
+    Value* state = co_await GetState(ctx, AccessMode::kRead);
+    co_return *state;
   }
 
   // Root: bump self, then bump every target in parallel; returns
@@ -114,61 +123,88 @@ bool SerializationGraphAcyclic(const std::vector<CommittedTxn>& txns) {
   return visited == txns.size();
 }
 
+/// Registers the probe type on `runtime`.
+uint32_t RegisterProbe(SnapperRuntime& runtime) {
+  return runtime.RegisterActorType(
+      "Probe", [](uint64_t) { return std::make_shared<VersionProbeActor>(); });
+}
+
+constexpr uint64_t kActors = 6;  // hot: maximal interleaving
+
+/// Runs `kTxns` random fan-out transactions, a `pact_fraction` share of
+/// them PACTs, over `kActors` hot actors; resolves every future and returns
+/// the committed ones.
+std::vector<CommittedTxn> RunProbeWorkload(SnapperRuntime& runtime,
+                                           uint32_t type, double pact_fraction,
+                                           uint64_t seed) {
+  constexpr int kTxns = 150;
+  constexpr size_t kPipeline = 10;  // bounded, so ACTs make progress
+  Rng rng(seed);
+
+  std::vector<Future<TxnResult>> futures;
+  for (int i = 0; i < kTxns; ++i) {
+    if (futures.size() >= kPipeline) {
+      futures[futures.size() - kPipeline].Get();  // bound in-flight window
+    }
+    const uint64_t root = rng.Uniform(kActors);
+    std::vector<uint64_t> targets;
+    while (targets.size() < 2) {
+      uint64_t t = rng.Uniform(kActors);
+      if (t != root &&
+          std::find(targets.begin(), targets.end(), t) == targets.end()) {
+        targets.push_back(t);
+      }
+    }
+    ValueList target_list;
+    for (uint64_t t : targets) target_list.push_back(Value(t));
+    Value input(ValueMap{{"targets", Value(std::move(target_list))}});
+    ActorId root_id{type, root};
+    if (rng.Bernoulli(pact_fraction)) {
+      ActorAccessInfo info;
+      info[root_id] = 1;
+      for (uint64_t t : targets) info[ActorId{type, t}] = 1;
+      futures.push_back(runtime.SubmitPact(root_id, "BumpFanout", input, info));
+    } else {
+      futures.push_back(runtime.SubmitAct(root_id, "BumpFanout", input));
+    }
+  }
+
+  std::vector<CommittedTxn> committed;
+  for (auto& f : futures) {
+    TxnResult r = f.Get();
+    if (!r.ok()) continue;
+    CommittedTxn txn;
+    for (const auto& [key, version] : r.value.AsMap()) {
+      txn.reads[std::strtoull(key.c_str(), nullptr, 10)] = version.AsInt();
+    }
+    committed.push_back(std::move(txn));
+  }
+  return committed;
+}
+
+/// Each probe's current version, read by a PACT.
+std::vector<int64_t> ProbeVersions(SnapperRuntime& runtime, uint32_t type) {
+  std::vector<int64_t> versions;
+  for (uint64_t k = 0; k < kActors; ++k) {
+    const ActorId id{type, k};
+    TxnResult r = runtime.RunPact(id, "Version", Value(), {{id, 1}});
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    versions.push_back(r.value.AsInt());
+  }
+  return versions;
+}
+
 class SerializabilityTest : public ::testing::TestWithParam<double> {
  protected:
-  // Runs `kTxns` random fan-out transactions with the parameterized PACT
-  // fraction over few hot actors, then checks the serialization graph.
+  // Runs the probe workload with the parameterized PACT fraction, then
+  // checks the serialization graph.
   void RunAndCheck(uint64_t seed) {
     SnapperRuntime runtime{SnapperConfig{}};
-    const uint32_t type = runtime.RegisterActorType(
-        "Probe", [](uint64_t) { return std::make_shared<VersionProbeActor>(); });
+    const uint32_t type = RegisterProbe(runtime);
     runtime.Start();
-
-    constexpr int kTxns = 150;
-    constexpr size_t kPipeline = 10;  // bounded, so ACTs make progress
-    constexpr uint64_t kActors = 6;   // hot: maximal interleaving
     const double pact_fraction = GetParam();
-    Rng rng(seed);
-
-    std::vector<Future<TxnResult>> futures;
-    for (int i = 0; i < kTxns; ++i) {
-      if (futures.size() >= kPipeline) {
-        futures[futures.size() - kPipeline].Get();  // bound in-flight window
-      }
-      const uint64_t root = rng.Uniform(kActors);
-      std::vector<uint64_t> targets;
-      while (targets.size() < 2) {
-        uint64_t t = rng.Uniform(kActors);
-        if (t != root &&
-            std::find(targets.begin(), targets.end(), t) == targets.end()) {
-          targets.push_back(t);
-        }
-      }
-      ValueList target_list;
-      for (uint64_t t : targets) target_list.push_back(Value(t));
-      Value input(ValueMap{{"targets", Value(std::move(target_list))}});
-      ActorId root_id{type, root};
-      if (rng.Bernoulli(pact_fraction)) {
-        ActorAccessInfo info;
-        info[root_id] = 1;
-        for (uint64_t t : targets) info[ActorId{type, t}] = 1;
-        futures.push_back(
-            runtime.SubmitPact(root_id, "BumpFanout", input, info));
-      } else {
-        futures.push_back(runtime.SubmitAct(root_id, "BumpFanout", input));
-      }
-    }
-
-    std::vector<CommittedTxn> committed;
-    for (auto& f : futures) {
-      TxnResult r = f.Get();
-      if (!r.ok()) continue;
-      CommittedTxn txn;
-      for (const auto& [key, version] : r.value.AsMap()) {
-        txn.reads[std::strtoull(key.c_str(), nullptr, 10)] = version.AsInt();
-      }
-      committed.push_back(std::move(txn));
-    }
+    std::vector<CommittedTxn> committed =
+        RunProbeWorkload(runtime, type, pact_fraction, seed);
     ASSERT_GT(committed.size(), 10u);
     EXPECT_TRUE(SerializationGraphAcyclic(committed))
         << "cycle in serialization graph with pact_fraction="
@@ -184,6 +220,53 @@ TEST_P(SerializabilityTest, SerializationGraphIsAcyclic) {
 
 INSTANTIATE_TEST_SUITE_P(PactFractions, SerializabilityTest,
                          ::testing::Values(1.0, 0.0, 0.9, 0.5, 0.1),
+                         [](const auto& info) {
+                           return "pact" + std::to_string(static_cast<int>(
+                                               info.param * 100));
+                         });
+
+// The same check across a crash: the workload runs over a MemEnv with a
+// sync latency, so batch commits pipeline behind undurable BatchCommit
+// records. Once every future has resolved, the silo crashes and recovers.
+// Each probe's recovered version must equal its live version, which must
+// equal the number of acked transactions that touched it, and the acked
+// history must stay acyclic. Follows KillRoundRecoveryTest's crash pattern.
+class SerializabilityAfterCrashTest : public ::testing::TestWithParam<double> {
+};
+
+TEST_P(SerializabilityAfterCrashTest, RecoveredVersionsMatchAckedHistory) {
+  const double pact_fraction = GetParam();
+  for (uint64_t seed : {1u, 2u}) {
+    MemEnv env;
+    env.set_sync_latency(std::chrono::microseconds(500));
+    std::vector<int64_t> live;
+    {
+      SnapperRuntime runtime(SnapperConfig{}, &env);
+      const uint32_t type = RegisterProbe(runtime);
+      runtime.Start();
+      std::vector<CommittedTxn> committed =
+          RunProbeWorkload(runtime, type, pact_fraction, seed);
+      ASSERT_GT(committed.size(), 10u) << "seed " << seed;
+      EXPECT_TRUE(SerializationGraphAcyclic(committed)) << "seed " << seed;
+      live = ProbeVersions(runtime, type);
+      std::vector<int64_t> touched(kActors, 0);
+      for (const CommittedTxn& txn : committed) {
+        for (const auto& [key, version] : txn.reads) touched[key]++;
+      }
+      EXPECT_EQ(live, touched) << "seed " << seed;
+    }
+    env.CrashAll();
+    SnapperRuntime runtime(SnapperConfig{}, &env);
+    const uint32_t type = RegisterProbe(runtime);
+    auto recovered = runtime.Recover();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    runtime.Start();
+    EXPECT_EQ(ProbeVersions(runtime, type), live) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PactFractions, SerializabilityAfterCrashTest,
+                         ::testing::Values(1.0, 0.9),
                          [](const auto& info) {
                            return "pact" + std::to_string(static_cast<int>(
                                                info.param * 100));
