@@ -2,8 +2,12 @@
 //  (a) total throughput with the PACT/ACT contribution split,
 //  (b) p50/p90 latency per transaction class,
 //  (c) the abort-rate breakdown into the paper's four categories:
-//      (1) ACT-ACT conflicts, (2) PACT-ACT deadlocks (timeouts),
+//      (1) ACT-ACT conflicts, (2) PACT-ACT deadlocks (ended by the doom rule
+//      as they form, or by act_wait_timeout for multi-ACT cycles),
 //      (3) incomplete AfterSet, (4) serializability-check failures.
+//      Beside (2): `doom`, the ACTs the deadlock rule aborted, and `tmo`, the
+//      ACT waits act_wait_timeout ended, both over the whole run (warm-up
+//      epochs included).
 //
 // Expected shape (paper): throughput falls as PACT% falls; under high skew
 // there is a sharp drop from 100% to 99% PACT (mutual blocking around hot
@@ -19,9 +23,11 @@ int main() {
 
   PrintHeader("Fig. 16: hybrid execution (SmallBank, txnsize 4, CC+log)");
   std::printf(
-      "%10s %6s | %9s %9s %9s | %8s %8s %8s %8s | %7s %7s %7s %7s\n", "skew",
-      "PACT%", "tps", "pact_tps", "act_tps", "p50P(ms)", "p90P(ms)",
-      "p50A(ms)", "p90A(ms)", "abrt1%", "abrt2%", "abrt3%", "abrt4%");
+      "%10s %6s | %9s %9s %9s | %8s %8s %8s %8s | %7s %7s %6s %5s %7s "
+      "%7s\n",
+      "skew", "PACT%", "tps", "pact_tps", "act_tps", "p50P(ms)", "p90P(ms)",
+      "p50A(ms)", "p90A(ms)", "abrt1%", "abrt2%", "doom", "tmo", "abrt3%",
+      "abrt4%");
 
   for (const auto& level : harness::kSkewLevels) {
     const bool skewed = level.zipf_s >= 1.0;
@@ -41,9 +47,10 @@ int main() {
       client.num_clients = 2;
       BenchResult r = RunBench(client, MakeSmallBankGenerator(workload),
                                harness::SnapperSubmit(*silo.runtime));
+      const MessageCounters& counters = silo.runtime->context().counters;
       std::printf(
           "%10s %5.0f%% | %9.0f %9.0f %9.0f | %8.1f %8.1f %8.1f %8.1f | "
-          "%6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",
+          "%6.1f%% %6.1f%% %6llu %5llu %6.1f%% %6.1f%%\n",
           level.name, pact_fraction * 100, r.Throughput(),
           r.PactThroughput(), r.ActThroughput(),
           r.totals.pact_latency.Quantile(0.5) / 1000.0,
@@ -52,6 +59,9 @@ int main() {
           r.totals.act_latency.Quantile(0.9) / 1000.0,
           r.AbortRate(AbortReason::kActActConflict) * 100,
           r.AbortRate(AbortReason::kPactActDeadlock) * 100,
+          static_cast<unsigned long long>(
+              counters.act_deadlocks_detected.load()),
+          static_cast<unsigned long long>(counters.act_wait_timeouts.load()),
           r.AbortRate(AbortReason::kIncompleteAfterSet) * 100,
           r.AbortRate(AbortReason::kSerializabilityCheck) * 100);
       std::fflush(stdout);

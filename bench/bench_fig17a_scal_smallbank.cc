@@ -4,10 +4,11 @@
 // Resources (actors, coordinators, loggers) scale with cores per Fig. 11a.
 //
 // Expected shape (paper): near-linear scaling for all modes under uniform;
-// under the hotspot workload PACT clearly outperforms ACT. NOTE: on a
-// single-core host (this repo's reference environment) the absolute curve
-// flattens — see EXPERIMENTS.md; SNAPPER_CORES can request wider sweeps on
-// real hardware.
+// under the hotspot workload PACT clearly outperforms ACT. NOTE: the
+// reference host is a shared 4-vCPU KVM guest; the silo's workers share
+// those vCPUs with its logger flushers, timer and client threads, so a
+// sweep past about 3 workers measures oversubscription, not scaling (see
+// EXPERIMENTS.md). SNAPPER_CORES picks the sweep.
 #include "bench_common.h"
 
 int main() {

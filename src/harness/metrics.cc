@@ -67,6 +67,9 @@ std::string FaultToleranceJson(const MessageCounters& counters) {
      << ",\"watchdog_act_aborts\":" << counters.watchdog_act_aborts.load()
      << ",\"watchdog_act_resolutions\":"
      << counters.watchdog_act_resolutions.load()
+     << ",\"act_deadlocks_detected\":"
+     << counters.act_deadlocks_detected.load()
+     << ",\"act_wait_timeouts\":" << counters.act_wait_timeouts.load()
      << ",\"recovery_time_us\":" << counters.recovery_time_us.load()
      << ",\"recovery_replay_records\":"
      << counters.recovery_replay_records.load()

@@ -95,9 +95,10 @@ struct BenchResult {
 
 /// One-line JSON of a runtime's fault-tolerance counters: actor kills,
 /// reactivation count + summed kill-to-serving latency, watchdog-fired
-/// aborts/resolutions, and the checkpoint/recovery economics (recovery time
-/// and replayed records, checkpoints taken, outstanding lag, WAL truncation
-/// totals, cold deactivations). Emitted alongside Summary() by benches and
+/// aborts/resolutions, PACT-ACT deadlocks ended by the deadlock rule and
+/// ACT waits ended by act_wait_timeout, and the checkpoint/recovery
+/// economics (recovery time and replayed records, checkpoints taken,
+/// outstanding lag, WAL truncation totals, cold deactivations). Emitted alongside Summary() by benches and
 /// by the actor-chaos harness so chaos runs are machine-readable. Call the
 /// runtime's SyncWalCounters() first for a coherent checkpoint snapshot.
 std::string FaultToleranceJson(const MessageCounters& counters);

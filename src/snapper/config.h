@@ -49,16 +49,19 @@ struct SnapperConfig {
   /// explicit floor. The commit chain costs no sync per batch (see
   /// CommitSequencer), so shorter epochs cut PACT latency; but every batch
   /// writes its own BatchInfo, BatchComplete images and BatchCommit, so
-  /// below the default a hot set's WAL bytes per commit and its ACTs'
-  /// act_wait_timeout stalls grow. DESIGN.md §3b item 5 has the sweep that
-  /// chose the default.
+  /// below the default a hot set's WAL bytes per commit grow, and more of
+  /// its ACTs meet batches. DESIGN.md §3b item 5 has the sweep that chose
+  /// the default.
   std::chrono::microseconds min_batch_interval{2000};
 
-  /// Timeout that breaks PACT-ACT deadlocks in hybrid execution (§4.4.2):
-  /// applied to every ACT wait (schedule gates, lock waits, commit waits).
-  /// Calibrated well above legitimate wait tails (a batch's commit p99 is
-  /// 3-7 ms on the snapbench workloads) but small enough that recurring
-  /// hot-actor deadlocks cost milliseconds, not epochs.
+  /// Backstop timeout on every ACT wait (schedule gates, lock waits, commit
+  /// waits; §4.4.2). A PACT-ACT deadlock (Fig. 9) ends as it forms, by the
+  /// rule in SharedTxnInfo (DESIGN.md §3b item 8); this timeout ends only
+  /// what the rule does not claim, multi-ACT cycles closed by an ACT-ACT
+  /// lock wait, and each firing counts in MessageCounters::act_wait_timeouts.
+  /// While it runs, bid-ordered commit holds the PACT chain behind the
+  /// cycle. Calibrated well above legitimate wait tails (a batch's commit
+  /// p99 is 3-7 ms on the snapbench workloads).
   std::chrono::milliseconds act_wait_timeout{150};
 
   /// Randomized message-delay injection for determinism tests (0 = off).

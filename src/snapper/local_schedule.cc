@@ -5,30 +5,39 @@
 
 namespace snapper {
 
-void LocalSchedule::AddBatch(BatchMsg msg) {
+size_t LocalSchedule::AddBatch(BatchMsg msg) {
   // prev_bid == kNoBid means "no uncommitted predecessor": the coordinator
   // only omits the link when every earlier batch on this actor has committed
   // (its token entry was removed, §4.2.2) — and committed implies arrived,
   // so appending after the current tail preserves the chain order even if
   // the predecessor's BatchCommit message is still in flight.
-  if (msg.prev_bid == tail_bid_ || msg.prev_bid == kNoBid) {
-    AppendBatchNode(std::move(msg));
-    // Chain any parked successors that are now connectable.
-    for (;;) {
-      auto it = pending_batches_.find(tail_bid_);
-      if (it == pending_batches_.end()) break;
-      BatchMsg next = std::move(it->second);
-      pending_batches_.erase(it);
-      AppendBatchNode(std::move(next));
-    }
-    Pump();
-  } else {
+  if (msg.prev_bid != tail_bid_ && msg.prev_bid != kNoBid) {
     // Vacancy: predecessor not here yet (Fig. 4b).
     pending_batches_[msg.prev_bid] = std::move(msg);
+    return 0;
   }
+  size_t doomed = AppendBatchNode(std::move(msg));
+  // Chain any parked successors that are now connectable.
+  for (;;) {
+    auto it = pending_batches_.find(tail_bid_);
+    if (it == pending_batches_.end()) break;
+    BatchMsg next = std::move(it->second);
+    pending_batches_.erase(it);
+    doomed += AppendBatchNode(std::move(next));
+  }
+  Pump();
+  return doomed;
 }
 
-void LocalSchedule::AppendBatchNode(BatchMsg msg) {
+size_t LocalSchedule::AppendBatchNode(BatchMsg msg) {
+  // Right behind an ACT set, the batch joins each unfinished member's
+  // AfterSet; later batches only follow it, with larger bids.
+  size_t doomed = 0;
+  if (!nodes_.empty() && nodes_.back().kind == Node::Kind::kActSet) {
+    for (const auto& [_, member] : nodes_.back().members) {
+      if (member.info && member.info->ObserveBatchAfter(msg.bid)) ++doomed;
+    }
+  }
   Node node;
   node.kind = Node::Kind::kBatch;
   node.seq = next_seq_++;
@@ -60,6 +69,7 @@ void LocalSchedule::AppendBatchNode(BatchMsg msg) {
   }
   tail_bid_ = msg.bid;
   nodes_.push_back(std::move(node));
+  return doomed;
 }
 
 LocalSchedule::NodeList::iterator LocalSchedule::FindBatch(uint64_t bid) {
@@ -161,17 +171,28 @@ uint64_t LocalSchedule::ActSeq(uint64_t tid) const {
   return node == nodes_.end() ? kNoSeq : node->seq;
 }
 
-void LocalSchedule::RegisterAct(uint64_t tid) {
-  if (FindActSet(tid) != nodes_.end()) return;
-  if (!nodes_.empty() && nodes_.back().kind == Node::Kind::kActSet) {
-    nodes_.back().members.emplace(tid, false);
-    return;
+bool LocalSchedule::RegisterAct(uint64_t tid,
+                                std::shared_ptr<SharedTxnInfo> info) {
+  if (FindActSet(tid) != nodes_.end()) return false;
+  // The deadlock rule's "before": the last batch node, at most one ACT set
+  // back from the tail.
+  uint64_t before = kNoBid;
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    if (it->kind == Node::Kind::kBatch) {
+      before = it->bid;
+      break;
+    }
   }
-  Node node;
-  node.kind = Node::Kind::kActSet;
-  node.seq = next_seq_++;
-  node.members.emplace(tid, false);
-  nodes_.push_back(std::move(node));
+  const bool doomed =
+      info != nullptr && before != kNoBid && info->ObserveBatchBefore(before);
+  if (nodes_.empty() || nodes_.back().kind != Node::Kind::kActSet) {
+    Node node;
+    node.kind = Node::Kind::kActSet;
+    node.seq = next_seq_++;
+    nodes_.push_back(std::move(node));
+  }
+  nodes_.back().members.emplace(tid, ActMember{false, std::move(info)});
+  return doomed;
 }
 
 Future<Status> LocalSchedule::WaitActTurn(uint64_t tid) {
@@ -181,13 +202,15 @@ Future<Status> LocalSchedule::WaitActTurn(uint64_t tid) {
   auto node = FindActSet(tid);
   node->act_waiters[tid].push_back(std::move(promise));
   Pump();
+  const auto& info = node->members.at(tid).info;
+  if (info != nullptr && !future.ready()) info->AddPendingWait(future);
   return future;
 }
 
 void LocalSchedule::FinishAct(uint64_t tid) {
   auto node = FindActSet(tid);
   if (node == nodes_.end()) return;  // already cleared by a global abort
-  node->members[tid] = true;
+  node->members[tid] = ActMember{true, nullptr};
   auto waiters = node->act_waiters.find(tid);
   if (waiters != node->act_waiters.end()) {
     for (auto& p : waiters->second) {

@@ -18,6 +18,12 @@
 // node is "done", where done(batch) = completed (speculative pipelining,
 // §4.2.3) and done(ACT set) = all members finished (committed/aborted).
 //
+// ACT-set members carry their ACT's SharedTxnInfo, which the schedule feeds
+// with the two observations of the hybrid deadlock rule (Fig. 9): the
+// closest batch ahead of a registering ACT, and a batch appended right
+// behind an ACT set's unfinished members. An observation that dooms an ACT
+// ends its pending gates and lock waits on every actor (SharedTxnInfo).
+//
 // Thread-model: all methods run on the owning actor's strand; no internal
 // locking.
 #pragma once
@@ -47,8 +53,9 @@ class LocalSchedule {
   // --- Batch (PACT) side -------------------------------------------------
 
   /// Registers an arriving sub-batch. Appends to the chain if `prev_bid`
-  /// matches the tail, otherwise parks it until connectable.
-  void AddBatch(BatchMsg msg);
+  /// matches the tail, otherwise parks it until connectable. Returns the
+  /// number of ACTs the append doomed (SharedTxnInfo::ObserveBatchAfter).
+  size_t AddBatch(BatchMsg msg);
 
   /// Gate for one PACT method invocation: resolves OK when (bid, tid) is at
   /// the front of the deterministic order, with InvalidArgument if the
@@ -76,11 +83,15 @@ class LocalSchedule {
   // --- ACT side ------------------------------------------------------------
 
   /// First touch of an ACT on this actor: appends it to the tail (joining
-  /// the tail ACT set if there is one). Idempotent.
-  void RegisterAct(uint64_t tid);
+  /// the tail ACT set if there is one) and reports the closest batch ahead
+  /// of it to `info` (null: no deadlock rule, for bare unit tests). Returns
+  /// true iff that observation doomed the ACT. Idempotent.
+  bool RegisterAct(uint64_t tid,
+                   std::shared_ptr<SharedTxnInfo> info = nullptr);
 
   /// Gate for ACT invocations: resolves OK when the ACT's set is eligible
-  /// per rule (1).
+  /// per rule (1). A gate left closed is parked with the ACT's
+  /// SharedTxnInfo, so the deadlock rule can end it.
   Future<Status> WaitActTurn(uint64_t tid);
 
   /// The ACT left the schedule (committed or aborted anywhere up-stack).
@@ -118,6 +129,12 @@ class LocalSchedule {
     std::vector<Promise<Status>> waiters;
   };
 
+  struct ActMember {
+    bool finished = false;  ///< committed or aborted
+    /// Dropped once finished: the deadlock rule observes unfinished ACTs only.
+    std::shared_ptr<SharedTxnInfo> info;
+  };
+
   struct Node {
     enum class Kind { kBatch, kActSet } kind;
     uint64_t seq = 0;
@@ -130,14 +147,14 @@ class LocalSchedule {
     bool committed = false;
     bool wrote = false;
 
-    // kActSet: tid -> finished?
-    std::map<uint64_t, bool> members;
+    // kActSet:
+    std::map<uint64_t, ActMember> members;
     std::map<uint64_t, std::vector<Promise<Status>>> act_waiters;
 
     bool Done() const {
       if (kind == Kind::kBatch) return completed;
-      for (const auto& [_, finished] : members) {
-        if (!finished) return false;
+      for (const auto& [_, member] : members) {
+        if (!member.finished) return false;
       }
       return true;
     }
@@ -148,9 +165,8 @@ class LocalSchedule {
   /// Re-evaluates eligibility from the head and resolves newly-open gates.
   void Pump();
 
-  /// Appends a parked/new batch msg as a node, then chains any parked
-  /// successors.
-  void AppendBatchNode(BatchMsg msg);
+  /// Appends a batch msg as a node; returns the number of ACTs it doomed.
+  size_t AppendBatchNode(BatchMsg msg);
 
   NodeList::iterator FindBatch(uint64_t bid);
   NodeList::const_iterator FindBatch(uint64_t bid) const;

@@ -137,11 +137,15 @@ Task<Value*> TransactionalActor::GetState(TxnContext& ctx, AccessMode mode) {  /
         throw TxnAbort(Status::TxnAborted(AbortReason::kCascading,
                                           "ACT already aborted"));
       }
+      Future<Status> acquired = lock_.Acquire(ctx.tid, mode);
+      // A queued request is a pending wait the hybrid deadlock rule may end.
+      if (ctx.info && !acquired.ready()) ctx.info->AddPendingWait(acquired);
       Status s = co_await AwaitStatusWithTimeout(
-          runtime().timers(), lock_.Acquire(ctx.tid, mode),
-          sctx().config.act_wait_timeout);
+          runtime().timers(), acquired, sctx().config.act_wait_timeout);
       if (s.IsTimedOut()) {
-        // The hybrid deadlock breaker (§4.4.2): ACTs lose to PACTs.
+        // The backstop for deadlocks the rule does not claim (§4.4.2):
+        // ACTs lose to PACTs.
+        sctx().counters.act_wait_timeouts.fetch_add(1);
         throw TxnAbort(Status::TxnAborted(AbortReason::kPactActDeadlock,
                                           "lock wait timed out"));
       }
@@ -290,12 +294,15 @@ Task<Value> TransactionalActor::InvokeAct(TxnContext ctx, const Method& method, 
         Status::TxnAborted(AbortReason::kCascading, "ACT already aborted"));
   }
   ctx.info->RegisterParticipant(id());
-  schedule_.RegisterAct(ctx.tid);
+  if (schedule_.RegisterAct(ctx.tid, ctx.info)) {
+    sctx().counters.act_deadlocks_detected.fetch_add(1);
+  }
 
   Status turn = co_await AwaitStatusWithTimeout(
       runtime().timers(), schedule_.WaitActTurn(ctx.tid),
       sctx().config.act_wait_timeout);
   if (turn.IsTimedOut()) {
+    sctx().counters.act_wait_timeouts.fetch_add(1);
     throw TxnAbort(Status::TxnAborted(AbortReason::kPactActDeadlock,
                                       "schedule wait timed out"));
   }
@@ -481,6 +488,13 @@ Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid, uint64_t epoch,
   auto& ctx = sctx();
   const uint64_t max_bs = info.MaxBeforeSet();
 
+  // A doomed ACT (SharedTxnInfo) would fail the check below; abort it under
+  // the rule's reason.
+  if (info.doomed) {
+    co_return Status::TxnAborted(AbortReason::kPactActDeadlock,
+                                 "PACT-ACT deadlock");
+  }
+
   // Serializability check (§4.4.3, Theorem 4.2 condition 3).
   if (info.AfterSetIncomplete()) {
     // Optimization: pass if the BeforeSet is empty or fully committed —
@@ -506,6 +520,7 @@ Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid, uint64_t epoch,
         runtime().timers(), ctx.sequencer.WaitCommitted(max_bs),
         ctx.config.act_wait_timeout);
     if (s.IsTimedOut()) {
+      ctx.counters.act_wait_timeouts.fetch_add(1);
       co_return Status::TxnAborted(AbortReason::kPactActDeadlock,
                                    "commit-wait timed out");
     }
@@ -815,7 +830,9 @@ Task<void> TransactionalActor::ReceiveBatch(BatchMsg msg) {
     co_return;
   }
   batch_owner_[msg.bid] = msg.coordinator;
-  schedule_.AddBatch(std::move(msg));
+  if (const size_t doomed = schedule_.AddBatch(std::move(msg))) {
+    sctx().counters.act_deadlocks_detected.fetch_add(doomed);
+  }
   co_return;
 }
 

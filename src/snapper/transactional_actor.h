@@ -8,7 +8,8 @@
 //   * nondeterministic ACT execution: S2PL with wait-die at the actor lock
 //     (§4.3.2), before-image rollback, 2PC participant and root-coordinator
 //     roles with presumed abort (§4.3.3);
-//   * hybrid scheduling (§4.4.1), the timeout deadlock breaker (§4.4.2), and
+//   * hybrid scheduling (§4.4.1), the PACT-ACT deadlock rule (Fig. 9; see
+//     SharedTxnInfo) with the timeout breaker (§4.4.2) as its backstop, and
 //     the BeforeSet/AfterSet serializability check (§4.4.3, Theorem 4.2)
 //     with the incomplete-AfterSet optimization;
 //   * the actor-local part of the global cascading abort (§4.2.4).
@@ -57,7 +58,8 @@ class TransactionalActor : public ActorBase {
   /// Returns a pointer to this actor's state. kRead access must not mutate;
   /// kReadWrite marks the transaction as a writer here (deciding WAL
   /// snapshot content and ACT lock mode). May suspend: ACTs block on the
-  /// actor lock (aborting on wait-die or deadlock timeout).
+  /// actor lock (aborting on wait-die, the PACT-ACT deadlock rule, or the
+  /// deadlock timeout).
   Task<Value*> GetState(TxnContext& ctx, AccessMode mode);
 
   /// Invokes `call` on `target` within the transaction. The callee executes

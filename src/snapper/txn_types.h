@@ -4,6 +4,7 @@
 // client-visible results.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "actor/actor.h"
+#include "async/future.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/value.h"
@@ -97,6 +99,8 @@ struct ParticipantInfo {
 
 struct TxnExeInfo {
   std::map<ActorId, ParticipantInfo> participants;
+  /// Set once the hybrid deadlock rule doomed the ACT (SharedTxnInfo).
+  bool doomed = false;
 
   /// Merges callee-side info into the caller's accumulator. Later entries
   /// for the same actor overwrite before/after contributions (they reflect a
@@ -184,6 +188,38 @@ class SharedTxnInfo {
     return info_;
   }
 
+  // --- Hybrid deadlock rule (Fig. 9; DESIGN.md §3b item 8) ----------------
+  // A batch b' appended behind this ACT's unfinished ACT set on one actor
+  // cannot start there before the ACT finishes (rule 2 of §4.4.1), and
+  // batches commit in bid order, so no batch b >= b' commits before the ACT
+  // finishes either. If the ACT also sits behind such a b on another actor,
+  // Theorem 4.2's check can never pass: max(BS) >= b >= b' >= min(AS), or
+  // the AfterSet is incomplete while b is uncommitted. Once
+  // max(before) >= min(after) the ACT is doomed, and every pending schedule
+  // gate or lock wait it has, on any actor, resolves
+  // TxnAborted(kPactActDeadlock) at once instead of at act_wait_timeout.
+
+  /// The closest batch ahead of the ACT on some actor
+  /// (LocalSchedule::RegisterAct). True iff this observation doomed it.
+  bool ObserveBatchBefore(uint64_t bid) { return Observe(bid, kNoBid); }
+
+  /// A batch appended right behind the ACT's unfinished ACT set on some
+  /// actor (LocalSchedule::AddBatch). True iff this observation doomed it.
+  bool ObserveBatchAfter(uint64_t bid) { return Observe(kNoBid, bid); }
+
+  /// Parks a pending schedule gate or lock wait of this ACT, resolved
+  /// TxnAborted(kPactActDeadlock) if the ACT is or becomes doomed.
+  void AddPendingWait(Future<Status> wait) {
+    {
+      MutexLock lock(&mu_);
+      if (!info_.doomed) {
+        pending_waits_.push_back(std::move(wait));
+        return;
+      }
+    }
+    ResolveDoomed({std::move(wait)});
+  }
+
   /// Commit dependency on an uncommitted writer (used by the OrleansTxn
   /// baseline's early lock release; unused by Snapper's own protocols).
   void AddDependency(uint64_t tid) {
@@ -197,9 +233,39 @@ class SharedTxnInfo {
   }
 
  private:
+  bool Observe(uint64_t before, uint64_t after) {
+    std::vector<Future<Status>> waits;
+    {
+      MutexLock lock(&mu_);
+      if (before != kNoBid && (max_before_ == kNoBid || before > max_before_)) {
+        max_before_ = before;
+      }
+      min_after_ = std::min(min_after_, after);  // kNoBid is the largest
+      if (info_.doomed || max_before_ == kNoBid || max_before_ < min_after_) {
+        return false;
+      }
+      info_.doomed = true;
+      waits.swap(pending_waits_);
+    }
+    ResolveDoomed(waits);
+    return true;
+  }
+
+  /// Runs without mu_: each resolution runs its waiter's continuations.
+  static void ResolveDoomed(const std::vector<Future<Status>>& waits) {
+    for (const auto& wait : waits) {
+      wait.state()->TrySet(Status::TxnAborted(
+          AbortReason::kPactActDeadlock,
+          "PACT-ACT deadlock: a batch ahead of the ACT waits behind it"));
+    }
+  }
+
   mutable Mutex mu_;
   TxnExeInfo info_ GUARDED_BY(mu_);
   std::set<uint64_t> deps_ GUARDED_BY(mu_);
+  uint64_t max_before_ GUARDED_BY(mu_) = kNoBid;
+  uint64_t min_after_ GUARDED_BY(mu_) = kNoBid;
+  std::vector<Future<Status>> pending_waits_ GUARDED_BY(mu_);
 };
 
 /// The read-only context generated by Snapper for each transaction and
@@ -279,6 +345,13 @@ struct MessageCounters {
   std::atomic<uint64_t> watchdog_batch_aborts{0};
   std::atomic<uint64_t> watchdog_act_aborts{0};       ///< vote/ack deadlines
   std::atomic<uint64_t> watchdog_act_resolutions{0};  ///< stuck-2PC re-resolves
+  /// ACTs doomed by the hybrid deadlock rule (SharedTxnInfo), each aborted
+  /// with kPactActDeadlock without waiting for act_wait_timeout.
+  std::atomic<uint64_t> act_deadlocks_detected{0};
+  /// ACT schedule-gate, lock and commit waits ended by act_wait_timeout: the
+  /// deadlocks the rule does not claim (multi-ACT cycles). Vote deadlines
+  /// count in watchdog_act_aborts.
+  std::atomic<uint64_t> act_wait_timeouts{0};
 
   // Checkpoint / bounded-recovery counters (see wal/checkpoint.h).
   std::atomic<uint64_t> recovery_time_us{0};  ///< summed WAL scan+replay time
@@ -303,6 +376,8 @@ struct MessageCounters {
     watchdog_batch_aborts = 0;
     watchdog_act_aborts = 0;
     watchdog_act_resolutions = 0;
+    act_deadlocks_detected = 0;
+    act_wait_timeouts = 0;
     recovery_time_us = 0;
     recovery_replay_records = 0;
     checkpoints_taken = 0;

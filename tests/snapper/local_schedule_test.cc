@@ -299,5 +299,110 @@ TEST(LocalScheduleTest, FullHybridInterleaving) {
   EXPECT_TRUE(g6.ready());
 }
 
+// --- Hybrid deadlock rule (Fig. 9) ------------------------------------------
+// Two schedules stand for two actors; one SharedTxnInfo is the ACT's.
+
+bool Doomed(const Future<Status>& wait) {
+  return wait.ready() && wait.Peek().IsTxnAborted() &&
+         wait.Peek().abort_reason() == AbortReason::kPactActDeadlock;
+}
+
+class HybridDeadlockRuleTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr uint64_t kAfterBid = 5;  // b': behind the ACT on A
+  uint64_t before_bid() const { return GetParam(); }  // b: ahead on B
+
+  LocalSchedule a_, b_;
+  std::shared_ptr<SharedTxnInfo> info_ = std::make_shared<SharedTxnInfo>();
+};
+
+TEST_P(HybridDeadlockRuleTest, AfterThenBefore) {
+  a_.RegisterAct(100, info_);
+  EXPECT_TRUE(a_.WaitActTurn(100).Peek().ok());
+  EXPECT_EQ(a_.AddBatch(Batch(kAfterBid, kNoBid, {{kAfterBid, 1}})), 0u);
+  b_.AddBatch(Batch(before_bid(), kNoBid, {{before_bid(), 1}}));
+  EXPECT_TRUE(b_.RegisterAct(100, info_));
+  EXPECT_TRUE(Doomed(b_.WaitActTurn(100)));  // parked after the doom
+  EXPECT_TRUE(info_->Snapshot().doomed);
+}
+
+TEST_P(HybridDeadlockRuleTest, BeforeThenAfter) {
+  b_.AddBatch(Batch(before_bid(), kNoBid, {{before_bid(), 1}}));
+  EXPECT_FALSE(b_.RegisterAct(100, info_));
+  auto gate = b_.WaitActTurn(100);
+  EXPECT_FALSE(gate.ready());  // rule (1): the batch has not completed
+  a_.RegisterAct(100, info_);
+  EXPECT_EQ(a_.AddBatch(Batch(kAfterBid, kNoBid, {{kAfterBid, 1}})), 1u);
+  EXPECT_TRUE(Doomed(gate));
+}
+
+INSTANTIATE_TEST_SUITE_P(BeforeBids, HybridDeadlockRuleTest,
+                         ::testing::Values(5u, 9u),  // b == b', b > b'
+                         [](const auto& info) {
+                           return info.param == 5u ? std::string("SameBatch")
+                                                   : std::string("LaterBatch");
+                         });
+
+TEST(HybridDeadlockRule, SilentWhenEveryAfterBidExceedsEveryBeforeBid) {
+  LocalSchedule a, b;
+  auto info = std::make_shared<SharedTxnInfo>();
+  b.AddBatch(Batch(4, kNoBid, {{4, 1}}));
+  EXPECT_FALSE(b.RegisterAct(100, info));
+  auto gate = b.WaitActTurn(100);
+  a.RegisterAct(100, info);
+  EXPECT_EQ(a.AddBatch(Batch(5, kNoBid, {{5, 1}})), 0u);
+  EXPECT_FALSE(gate.ready());
+  b.WaitPactTurn(4, 4);
+  b.CompletePactAccess(4, 4);  // B4 completes: rule (1) opens the gate
+  ASSERT_TRUE(gate.ready());
+  EXPECT_TRUE(gate.Peek().ok());
+  EXPECT_FALSE(info->Snapshot().doomed);
+}
+
+TEST(HybridDeadlockRule, SilentForFinishedMember) {
+  LocalSchedule a, b;
+  auto done = std::make_shared<SharedTxnInfo>();
+  auto live = std::make_shared<SharedTxnInfo>();
+  a.RegisterAct(100, done);
+  a.RegisterAct(200, live);
+  a.FinishAct(100);  // the set stays: T200 is unfinished
+  EXPECT_EQ(a.AddBatch(Batch(5, kNoBid, {{5, 1}})), 0u);
+  b.AddBatch(Batch(9, kNoBid, {{9, 1}}));
+  EXPECT_FALSE(b.RegisterAct(100, done));  // B5 is in T200's AfterSet only
+  EXPECT_TRUE(b.RegisterAct(200, live));
+  EXPECT_FALSE(done->Snapshot().doomed);
+}
+
+TEST(HybridDeadlockRule, ResolvesEveryPendingWaitExactlyOnce) {
+  LocalSchedule a, b, c;
+  auto info = std::make_shared<SharedTxnInfo>();
+  b.AddBatch(Batch(9, kNoBid, {{9, 1}}));
+  c.AddBatch(Batch(7, kNoBid, {{7, 1}}));
+  b.RegisterAct(100, info);
+  c.RegisterAct(100, info);
+  auto gate_b = b.WaitActTurn(100);
+  auto gate_c = c.WaitActTurn(100);
+  Promise<Status> lock_wait;  // stands for a queued ActorLock request
+  info->AddPendingWait(lock_wait.GetFuture());
+  EXPECT_FALSE(gate_b.ready() || gate_c.ready());
+
+  a.RegisterAct(100, info);
+  EXPECT_EQ(a.AddBatch(Batch(5, kNoBid, {{5, 1}})), 1u);
+  EXPECT_TRUE(Doomed(gate_b));
+  EXPECT_TRUE(Doomed(gate_c));
+  EXPECT_TRUE(Doomed(lock_wait.GetFuture()));
+  // Later dooming observations of either kind find the ACT already doomed.
+  LocalSchedule d, e;
+  e.RegisterAct(100, info);
+  EXPECT_EQ(e.AddBatch(Batch(3, kNoBid, {{3, 1}})), 0u);
+  d.AddBatch(Batch(11, kNoBid, {{11, 1}}));
+  EXPECT_FALSE(d.RegisterAct(100, info));
+  EXPECT_TRUE(Doomed(d.WaitActTurn(100)));
+  // The schedule's own resolution loses to the doom.
+  b.WaitPactTurn(9, 9);
+  b.CompletePactAccess(9, 9);
+  EXPECT_TRUE(Doomed(gate_b));
+}
+
 }  // namespace
 }  // namespace snapper
