@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): the building blocks under
 // the figure benches — Value codec, CRC, zipf sampling, histogram, lock
-// table, local schedule, WAL append, actor RPC round trip.
+// table, local schedule, WAL append, actor RPC round trip, actor-to-actor
+// hop.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -147,6 +148,47 @@ void BM_ActorRpcRoundTrip(benchmark::State& state) {
   benchmark::DoNotOptimize(v);
 }
 BENCHMARK(BM_ActorRpcRoundTrip);
+
+class HopActor : public ActorBase {
+ public:
+  /// Awaits `hops` sequential Pings on `peer`, each from this actor's strand.
+  Task<int64_t> Chain(ActorId peer, int hops) {
+    int64_t v = 0;
+    for (int i = 0; i < hops; ++i) {
+      v = co_await runtime().Call<PingActor>(
+          peer, [v](PingActor& a) { return a.Ping(v); });
+    }
+    co_return v;
+  }
+};
+
+// Actor-to-actor message hops with no client thread in the loop: one
+// actor's coroutine awaits 1000 sequential Calls on another, on 2 workers.
+// Each hop is a Call (task frame, future state, strand post) plus the
+// awaiter's resume on the caller's strand. Reports time per hop.
+void BM_ActorHop(benchmark::State& state) {
+  constexpr int kHops = 1000;
+  ActorRuntime runtime(ActorRuntime::Options{.num_workers = 2});
+  uint32_t ping = runtime.RegisterType(
+      "Ping", [](uint64_t) { return std::make_shared<PingActor>(); });
+  uint32_t hop = runtime.RegisterType(
+      "Hop", [](uint64_t) { return std::make_shared<HopActor>(); });
+  const ActorId peer{ping, 1};
+  const ActorId caller{hop, 1};
+  int64_t v = 0;
+  for (auto _ : state) {
+    v = runtime
+            .Call<HopActor>(caller,
+                            [peer](HopActor& a) { return a.Chain(peer, kHops); })
+            .Get();
+  }
+  benchmark::DoNotOptimize(v);
+  // Inverted rate over real time: seconds per (hop / 1e9), i.e. ns per hop.
+  state.counters["ns_per_hop"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kHops / 1e9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ActorHop)->UseRealTime();
 
 }  // namespace
 }  // namespace snapper

@@ -13,8 +13,8 @@
 //      deterministic scheduling, §3.1).
 //
 // Message timing is nondeterministic by construction (worker interleaving);
-// `Options::inject_delays` adds randomized delivery delays on top, used by
-// the determinism property tests.
+// `Options::max_inject_delay_ms` adds randomized delivery delays on top, used
+// by the determinism property tests.
 #pragma once
 
 #include <atomic>
@@ -321,7 +321,7 @@ class ActorRuntime {
   /// Call when the bounded-mailbox check sheds the message.
   template <typename T>
   Future<T> MakeOverloadedFuture(const ActorId& id) {
-    auto state = std::make_shared<FutureState<T>>();
+    auto state = MakeFutureState<T>();
     state->SetException(std::make_exception_ptr(StatusError(
         Status::Overloaded("mailbox full: actor " + id.ToString()))));
     return Future<T>(state);

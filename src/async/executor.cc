@@ -20,10 +20,18 @@ Executor::Executor(size_t num_threads) {
 Executor::~Executor() { Stop(); }
 
 void Executor::Post(std::function<void()> fn) {
+  AddJob(Job{nullptr, std::move(fn)});
+}
+
+void Executor::PostDrain(std::shared_ptr<Strand> strand) {
+  AddJob(Job{std::move(strand), nullptr});
+}
+
+void Executor::AddJob(Job job) {
   {
     MutexLock lock(&mu_);
     if (stopping_) return;
-    queue_.push_back(std::move(fn));
+    queue_.push_back(std::move(job));
   }
   cv_.NotifyOne();
 }
@@ -31,9 +39,6 @@ void Executor::Post(std::function<void()> fn) {
 void Executor::Stop() {
   {
     MutexLock lock(&mu_);
-    if (stopping_) {
-      // Already stopped; make sure threads are joined below exactly once.
-    }
     stopping_ = true;
   }
   cv_.NotifyAll();
@@ -47,7 +52,7 @@ bool Executor::InExecutor() const { return tls_current_executor == this; }
 void Executor::WorkerLoop() {
   tls_current_executor = this;
   for (;;) {
-    std::function<void()> task;
+    Job job;
     {
       MutexLock lock(&mu_);
       cv_.Wait(mu_, [this]() REQUIRES(mu_) {
@@ -58,10 +63,14 @@ void Executor::WorkerLoop() {
         // run; posts after Stop() were dropped.)
         return;
       }
-      task = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    if (job.strand != nullptr) {
+      job.strand->Drain();
+    } else {
+      job.fn();
+    }
   }
 }
 
@@ -106,9 +115,7 @@ size_t Strand::MaxQueueDepth() const {
   return max_depth_;
 }
 
-void Strand::ScheduleDrain() {
-  executor_->Post([self = shared_from_this()] { self->Drain(); });
-}
+void Strand::ScheduleDrain() { executor_->PostDrain(shared_from_this()); }
 
 void Strand::Drain() {
   Strand* prev = tls_current_strand;

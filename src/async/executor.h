@@ -20,7 +20,12 @@
 
 namespace snapper {
 
-/// Fixed-size thread pool. Tasks are arbitrary callables; FIFO dispatch.
+class Strand;
+
+/// Fixed-size thread pool with one FIFO job queue. Most jobs are strand
+/// drains: Strand::ScheduleDrain queues the strand itself (a reference, no
+/// callable is built), and a worker runs that strand's turns. Arbitrary
+/// callables can be posted too (a WAL logger's flusher jobs, tests).
 class Executor {
  public:
   /// Creates the pool with `num_threads` workers (>= 1). Threads start
@@ -35,6 +40,9 @@ class Executor {
   /// After Stop(), posts are silently dropped.
   void Post(std::function<void()> fn);
 
+  /// Enqueues a drain of `strand` (see Strand). Same rules as Post.
+  void PostDrain(std::shared_ptr<Strand> strand);
+
   /// Drains nothing; signals workers to exit once the queue empties and
   /// joins them. Idempotent.
   void Stop();
@@ -45,11 +53,18 @@ class Executor {
   bool InExecutor() const;
 
  private:
+  /// A strand to drain, or (when `strand` is null) a callable to run.
+  struct Job {
+    std::shared_ptr<Strand> strand;
+    std::function<void()> fn;
+  };
+
+  void AddJob(Job job);
   void WorkerLoop();
 
   Mutex mu_;
   CondVar cv_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
+  std::deque<Job> queue_ GUARDED_BY(mu_);
   bool stopping_ GUARDED_BY(mu_) = false;
   /// Written only by the constructor, before any concurrency; joined by
   /// Stop() after stopping_ is set.
@@ -113,6 +128,8 @@ class Strand : public std::enable_shared_from_this<Strand> {
   uint64_t RunDigest() const { return digest_fn_ ? digest_fn_() : 0; }
 
  private:
+  friend class Executor;  // runs Drain for the drain jobs it dequeues
+
   struct TaggedTask {
     std::function<void()> fn;
     trace::TurnTag tag;

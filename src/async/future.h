@@ -12,14 +12,73 @@
 #include <functional>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "async/executor.h"
+#include "async/frame_pool.h"
 #include "common/mutex.h"
 #include "common/trace_hooks.h"
 
 namespace snapper {
+
+namespace internal {
+
+/// One registered continuation of a FutureState: either an OnReady callback
+/// or a resume record {strand, handle} that posts the awaiting coroutine
+/// back to its strand. Both run under the trace pin drawn when they were
+/// attached.
+class Continuation {
+ public:
+  Continuation() = default;
+  Continuation(std::function<void()> fn, trace::Pin pin)
+      : fn_(std::move(fn)), pin_(pin) {}
+  Continuation(std::shared_ptr<Strand> strand, std::coroutine_handle<> handle,
+               trace::Pin pin)
+      : strand_(std::move(strand)), handle_(handle), pin_(pin) {}
+
+  explicit operator bool() const { return fn_ || handle_; }
+
+  void Fire() {
+    trace::RunPinned(pin_, [this] {
+      if (handle_) {
+        strand_->Post([h = handle_]() { h.resume(); });
+      } else {
+        fn_();
+      }
+    });
+  }
+
+ private:
+  std::function<void()> fn_;
+  std::shared_ptr<Strand> strand_;
+  std::coroutine_handle<> handle_ = nullptr;
+  trace::Pin pin_;
+};
+
+/// Parks a client thread in FutureState::Wait. Lives on the waiter's stack;
+/// Unpark notifies under the mutex, so the waiter cannot return (and
+/// destroy the latch) before Unpark is done with it.
+class Latch {
+ public:
+  void Unpark() {
+    MutexLock lock(&mu_);
+    open_ = true;
+    cv_.NotifyOne();
+  }
+  void Park() {
+    MutexLock lock(&mu_);
+    cv_.Wait(mu_, [this]() REQUIRES(mu_) { return open_; });
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool open_ GUARDED_BY(mu_) = false;
+};
+
+}  // namespace internal
 
 /// Placeholder value for Future<void>-like channels.
 struct Unit {
@@ -60,43 +119,10 @@ class FutureState {
   /// a replay session vetoes attempts the recorded run lost, so contested
   /// resolutions — watchdog-vs-result, WhenAll's last resolver — land the
   /// same way they did during capture.
-  bool TrySet(V v) {
-    std::vector<std::function<void()>> conts;
-    {
-      MutexLock lock(&mu_);
-      if (value_.index() != 0) {
-        trace::TrySetOutcome(trace_id_, false);
-        return false;
-      }
-      if (!trace::TrySetAllowed(trace_id_)) return false;
-      value_.template emplace<1>(std::move(v));
-      trace::TrySetOutcome(trace_id_, true);
-      conts.swap(continuations_);
-      // Notify while holding mu_: a waiter in Wait() may own the last
-      // external reference and destroy this state as soon as it returns, so
-      // the condvar must not be touched after the lock is released.
-      cv_.NotifyAll();
-    }
-    for (auto& c : conts) c();
-    return true;
-  }
+  bool TrySet(V v) { return Resolve<1>(std::move(v)); }
 
   bool TrySetException(std::exception_ptr e) {
-    std::vector<std::function<void()>> conts;
-    {
-      MutexLock lock(&mu_);
-      if (value_.index() != 0) {
-        trace::TrySetOutcome(trace_id_, false);
-        return false;
-      }
-      if (!trace::TrySetAllowed(trace_id_)) return false;
-      value_.template emplace<2>(std::move(e));
-      trace::TrySetOutcome(trace_id_, true);
-      conts.swap(continuations_);
-      cv_.NotifyAll();  // under mu_; see TrySet
-    }
-    for (auto& c : conts) c();
-    return true;
+    return Resolve<2>(std::move(e));
   }
 
   /// Runs `cb` when resolved (immediately if already resolved). `cb` runs on
@@ -105,22 +131,27 @@ class FutureState {
   /// the *attaching* thread, so its draws (and any turns it posts) have the
   /// same identity no matter which thread ends up resolving the future.
   void OnReady(std::function<void()> cb) {
-    cb = trace::WrapContinuation(std::move(cb));
-    {
-      MutexLock lock(&mu_);
-      if (value_.index() == 0) {
-        continuations_.push_back(std::move(cb));
-        return;
-      }
-    }
-    cb();
+    AddContinuation(
+        internal::Continuation(std::move(cb), trace::PinContinuation()));
+  }
+
+  /// Posts `h.resume()` to `strand` when resolved: the awaiter side of
+  /// `co_await`. Pinned like OnReady.
+  void ResumeOnReady(std::shared_ptr<Strand> strand,
+                     std::coroutine_handle<> h) {
+    AddContinuation(internal::Continuation(std::move(strand), h,
+                                           trace::PinContinuation()));
   }
 
   /// Blocks the calling thread until resolved. For client threads and tests
-  /// only — never call on a pool worker.
-  void Wait() const {
-    MutexLock lock(&mu_);
-    cv_.Wait(mu_, [this]() REQUIRES(mu_) { return value_.index() != 0; });
+  /// only — never call on a pool worker. The latch is released by an
+  /// unpinned continuation, so waiting draws no trace context.
+  void Wait() {
+    if (ready()) return;
+    internal::Latch latch;
+    AddContinuation(
+        internal::Continuation([&latch]() { latch.Unpark(); }, {}));
+    latch.Park();
   }
 
   /// Requires ready(). Returns a copy of the value or rethrows.
@@ -155,12 +186,61 @@ class FutureState {
   uint64_t trace_id() const { return trace_id_; }
 
  private:
+  /// Stores the resolution and runs the continuations, in registration
+  /// order, after releasing mu_ and without touching `this` again: a
+  /// released waiter may drop the last reference at once.
+  template <size_t I, typename A>
+  bool Resolve(A&& a) {
+    internal::Continuation first;
+    std::vector<internal::Continuation> rest;
+    {
+      MutexLock lock(&mu_);
+      if (value_.index() != 0) {
+        trace::TrySetOutcome(trace_id_, false);
+        return false;
+      }
+      if (!trace::TrySetAllowed(trace_id_)) return false;
+      value_.template emplace<I>(std::forward<A>(a));
+      trace::TrySetOutcome(trace_id_, true);
+      first = std::exchange(first_, {});
+      rest.swap(rest_);
+    }
+    if (first) first.Fire();
+    for (auto& c : rest) c.Fire();
+    return true;
+  }
+
+  /// Queues `c`, or runs it now if already resolved. The first continuation
+  /// is stored inline; the vector is only used from the second on.
+  void AddContinuation(internal::Continuation c) {
+    {
+      MutexLock lock(&mu_);
+      if (value_.index() == 0) {
+        if (!first_) {
+          first_ = std::move(c);
+        } else {
+          rest_.push_back(std::move(c));
+        }
+        return;
+      }
+    }
+    c.Fire();
+  }
+
   const uint64_t trace_id_ = trace::NewFutureId();
   mutable Mutex mu_;
-  mutable CondVar cv_;
   std::variant<std::monostate, V, std::exception_ptr> value_ GUARDED_BY(mu_);
-  std::vector<std::function<void()>> continuations_ GUARDED_BY(mu_);
+  internal::Continuation first_ GUARDED_BY(mu_);
+  std::vector<internal::Continuation> rest_ GUARDED_BY(mu_);
 };
+
+/// Creates a FutureState in one block from the calling thread's frame pool
+/// (state and shared_ptr control block together).
+template <typename T>
+std::shared_ptr<FutureState<T>> MakeFutureState() {
+  return std::allocate_shared<FutureState<T>>(
+      frame_pool::Allocator<FutureState<T>>());
+}
 
 template <typename T>
 class Promise;
@@ -210,10 +290,7 @@ class Future {
       void await_suspend(std::coroutine_handle<> h) {
         Strand* cur = Strand::Current();
         assert(cur != nullptr && "co_await Future outside a strand");
-        auto strand = cur->shared_from_this();
-        st->OnReady([strand = std::move(strand), h]() {
-          strand->Post([h]() { h.resume(); });
-        });
+        st->ResumeOnReady(cur->shared_from_this(), h);
       }
       V await_resume() {
         if constexpr (std::is_copy_constructible_v<V>) {
@@ -236,7 +313,7 @@ class Promise {
  public:
   using V = WrapVoid<T>;
 
-  Promise() : state_(std::make_shared<FutureState<T>>()) {}
+  Promise() : state_(MakeFutureState<T>()) {}
 
   Future<T> GetFuture() const { return Future<T>(state_); }
 
@@ -258,7 +335,7 @@ class Promise {
 /// callers inspect individual futures afterwards).
 template <typename T>
 Future<Unit> WhenAll(const std::vector<Future<T>>& futures) {
-  auto state = std::make_shared<FutureState<Unit>>();
+  auto state = MakeFutureState<Unit>();
   if (futures.empty()) {
     state->Set(Unit{});
     return Future<Unit>(state);

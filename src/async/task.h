@@ -13,10 +13,12 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <memory>
 #include <utility>
 
 #include "async/executor.h"
+#include "async/frame_pool.h"
 #include "async/future.h"
 
 namespace snapper {
@@ -46,8 +48,16 @@ class [[nodiscard]] Task {
   using V = WrapVoid<T>;
 
   struct promise_type : internal::TaskPromiseReturn<T, promise_type> {
-    std::shared_ptr<FutureState<T>> state =
-        std::make_shared<FutureState<T>>();
+    // Frames come from the frame pool of the thread that creates the task
+    // and go back to the one that finishes (or destroys) it.
+    static void* operator new(std::size_t n) {
+      return frame_pool::Allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      frame_pool::Deallocate(p, n);
+    }
+
+    std::shared_ptr<FutureState<T>> state = MakeFutureState<T>();
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this),
@@ -115,12 +125,9 @@ class [[nodiscard]] Task {
       void await_suspend(std::coroutine_handle<> parent) {
         Strand* cur = Strand::Current();
         assert(cur != nullptr && "co_await Task outside a strand");
-        auto strand = cur->shared_from_this();
         // Attach the continuation before starting the child so synchronous
         // completion still resumes the parent (via a posted turn).
-        st->OnReady([strand = std::move(strand), parent]() {
-          strand->Post([parent]() { parent.resume(); });
-        });
+        st->ResumeOnReady(cur->shared_from_this(), parent);
         child.resume();
       }
       V await_resume() {

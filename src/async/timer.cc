@@ -65,9 +65,6 @@ bool TimerService::Cancel(TimerId id) {
 void TimerService::Stop() {
   {
     MutexLock lock(&mu_);
-    if (stopping_) {
-      // fallthrough to join
-    }
     stopping_ = true;
   }
   cv_.NotifyAll();

@@ -75,11 +75,11 @@ Future<T> AwaitWithFallback(TimerService& timers, Future<T> f,
   // and replay runs' context draws.
   if (!trace::Active() && f.ready()) {
     if (!f.state()->has_exception()) return f;
-    auto state = std::make_shared<FutureState<T>>();
+    auto state = MakeFutureState<T>();
     state->TrySet(fallback);
     return Future<T>(state);
   }
-  auto state = std::make_shared<FutureState<T>>();
+  auto state = MakeFutureState<T>();
   TimerId id = timers.Schedule(
       timeout, [state, fallback, on_timeout = std::move(on_timeout)]() {
         if (state->TrySet(fallback) && on_timeout) on_timeout();

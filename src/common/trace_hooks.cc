@@ -147,23 +147,15 @@ CtxScope::~CtxScope() {
   tls_ctx.seq = saved_seq_;
 }
 
+Pin PinContinuation() {
+  if (!Active()) return {};
+  return {DeriveCtx(), SessionGen()};
+}
+
 std::function<void()> WrapContinuation(std::function<void()> fn) {
-  if (!Active()) return fn;
-  const uint64_t child = DeriveCtx();
-  const uint64_t gen = SessionGen();
-  return [child, gen, fn = std::move(fn)]() {
-    if (SessionGen() == gen) {
-      CtxScope scope(child);
-      fn();
-    } else {
-      // Pinned under a session that has since ended (leaked runtime):
-      // running under `child` would impersonate a context the new session
-      // may also derive. Run flag-scoped so every draw inside is visibly
-      // unattributed (ctx 0 would collide with legitimate unscoped work).
-      CtxScope scope(kUnattributedCtxBit);
-      fn();
-    }
-  };
+  const Pin pin = PinContinuation();
+  if (pin.ctx == 0) return fn;
+  return [pin, fn = std::move(fn)]() { RunPinned(pin, fn); };
 }
 
 uint64_t DecisionU64(Site site, uint64_t physical) {

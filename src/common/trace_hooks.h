@@ -182,10 +182,37 @@ class CtxScope {
   uint64_t saved_seq_;
 };
 
-/// Wraps `fn` so it runs under a child context derived from the *calling*
-/// (attaching) context — the identity of a future continuation must depend
-/// on who attached it, not on which thread eventually resolves the future.
-/// Identity (and free) when tracing is inactive.
+/// The context a continuation is pinned to: a child derived from the
+/// *attaching* context — the identity of a future continuation must depend
+/// on who attached it, not on which thread eventually resolves the future —
+/// and the session generation it was derived under. Empty (ctx 0) when
+/// tracing is inactive.
+struct Pin {
+  uint64_t ctx = 0;
+  uint64_t gen = 0;
+};
+
+/// Draws the pin for a continuation attached now (one DeriveCtx draw under
+/// an active session; free and empty otherwise).
+Pin PinContinuation();
+
+/// Runs `fn` under `pin`. An empty pin runs it as is. A pin from a session
+/// that has since ended (leaked runtime) runs flag-scoped: running under
+/// its context would impersonate one the new session may also derive, and
+/// ctx 0 would collide with legitimate unscoped work, so every draw inside
+/// is made visibly unattributed.
+template <typename F>
+void RunPinned(const Pin& pin, F&& fn) {
+  if (pin.ctx == 0) {
+    fn();
+    return;
+  }
+  CtxScope scope(SessionGen() == pin.gen ? pin.ctx : kUnattributedCtxBit);
+  fn();
+}
+
+/// Wraps `fn` so it runs under a pin drawn now (see Pin). Identity (and
+/// free) when tracing is inactive.
 std::function<void()> WrapContinuation(std::function<void()> fn);
 
 /// Decision helpers: record-and-return-physical / replay-recorded.

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
+
+#include "async/executor.h"
+#include "async/task.h"
 
 namespace snapper {
 namespace {
@@ -73,6 +78,83 @@ TEST(FutureTest, MultipleContinuationsAllFire) {
   }
   p.Set(1);
   EXPECT_EQ(count.load(), 10);
+}
+
+// Appends `i` to `log` once `f` resolves; `log` is only touched on the
+// strand the coroutine runs on.
+Task<void> AppendWhenReady(Future<int> f, std::vector<int>* log, int i) {
+  co_await f;
+  log->push_back(i);
+}
+
+// Waits until every turn queued on `strand` so far has run.
+void DrainStrand(Strand& strand) {
+  Promise<void> done;
+  strand.Post([done] { done.Set(Unit{}); });
+  done.GetFuture().Get();
+}
+
+TEST(FutureTest, CallbacksAndAwaitersRunInRegistrationOrder) {
+  Executor ex(1);
+  auto strand = std::make_shared<Strand>(&ex);
+  Promise<int> p;
+  Future<int> f = p.GetFuture();
+  std::vector<int> log;
+  // Both kinds land in `log` through `strand`, in the order the
+  // continuations ran: a callback posts its append, a resume record posts
+  // the coroutine's resume.
+  auto add_callback = [&](int i) {
+    f.OnReady([&log, &strand, i] {
+      strand->Post([&log, i] { log.push_back(i); });
+    });
+  };
+  auto add_awaiter = [&](int i) {
+    AppendWhenReady(f, &log, i).Start(*strand);
+    DrainStrand(*strand);  // the coroutine has reached its co_await
+  };
+  add_awaiter(0);
+  add_callback(1);
+  add_callback(2);
+  add_awaiter(3);
+  add_callback(4);
+  add_awaiter(5);
+  p.Set(7);
+  DrainStrand(*strand);
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  ex.Stop();
+}
+
+TEST(FutureTest, WaitersRaceTrySetFromWorkers) {
+  constexpr int kFutures = 3000;
+  constexpr int kWaiters = 3;
+  Executor ex(2);
+  std::vector<Future<int>> futures;
+  std::vector<Promise<int>> promises(kFutures);
+  for (auto& p : promises) futures.push_back(p.GetFuture());
+  std::atomic<bool> go{false};
+  std::vector<std::thread> waiters;
+  std::vector<std::vector<int>> seen(kWaiters);
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      while (!go.load()) std::this_thread::yield();
+      for (const auto& f : futures) seen[w].push_back(f.Get());
+    });
+  }
+  go.store(true);
+  // Two workers race to resolve each future with different values; the
+  // waiters block on whichever futures are not resolved yet.
+  for (int i = 0; i < kFutures; ++i) {
+    ex.Post([p = promises[i], i] { p.TrySet(2 * i); });
+    ex.Post([p = promises[i], i] { p.TrySet(2 * i + 1); });
+  }
+  promises.clear();
+  for (auto& t : waiters) t.join();
+  ex.Stop();
+  for (int i = 0; i < kFutures; ++i) {
+    const int v = seen[0][i];
+    EXPECT_TRUE(v == 2 * i || v == 2 * i + 1) << "future " << i;
+    for (int w = 1; w < kWaiters; ++w) EXPECT_EQ(seen[w][i], v);
+  }
 }
 
 TEST(FutureTest, TrySetFirstWins) {
