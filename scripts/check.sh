@@ -12,10 +12,11 @@
 # Requires clang-tidy on PATH — available in CI's clang leg; locally the
 # command fails fast with a clear message if the tool is missing.
 #
-# SNAPPER_SANITIZE=analyze runs the whole-program lock-order/determinism
-# analyzer (scripts/snapper_analyze.py: fixture self-test, then the src/
-# pass) and the `analyze`-labelled ctest subset in a Debug tree, where the
-# runtime lock-order tracker (SNAPPER_LOCK_TRACKER) is armed by default.
+# SNAPPER_SANITIZE=analyze runs the static analyzer (scripts/snapper_analyze.py:
+# lock order, coroutine hazards and determinism purity; fixture self-test,
+# then the src/ pass) and the `analyze`-labelled ctest subset in a Debug
+# tree, where the runtime lock-order tracker (SNAPPER_LOCK_TRACKER) is armed
+# by default.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

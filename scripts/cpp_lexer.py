@@ -1,5 +1,5 @@
-"""Shared C++ lexing / file-discovery infrastructure for the snapper
-analysis scripts (scripts/coro_lint.py, scripts/snapper_analyze.py).
+"""C++ lexing / file-discovery infrastructure for the snapper static
+analyzer (scripts/snapper_analyze.py).
 
 This is a deliberately self-contained tokenizer — the container ships no
 libclang Python bindings, so every analysis that wants to run at presubmit
@@ -217,22 +217,3 @@ def default_compile_commands():
         if os.path.exists(cand):
             return cand
     return None
-
-
-def comment_allows(comments, line, allow_re, rule):
-    """True if allow_re (a regex whose group 1 is a comma-separated rule
-    list) matches a comment on `line` or in the contiguous comment block
-    directly above it, naming `rule`."""
-
-    def hit(text):
-        m = allow_re.search(text)
-        return m and rule in [r.strip() for r in m.group(1).split(",")]
-
-    if hit(comments.get(line, "")):
-        return True
-    probe = line - 1
-    while probe in comments:
-        if hit(comments[probe]):
-            return True
-        probe -= 1
-    return False

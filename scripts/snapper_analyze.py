@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Whole-program lock-order and determinism-purity analyzer for the snapper
-tree (`snapper_analyze`).
+"""Whole-program static analyzer for the snapper tree (`snapper_analyze`):
+lock order, coroutine hazards and determinism purity.
 
-Two rule families, both whole-program (every file is parsed before any rule
-runs, so cycles and call chains may span translation units):
+Every file is parsed before any rule runs, so cycles, call chains and the
+set of Task/Future-returning names may span translation units. The rules
+cover what Clang's thread-safety analysis cannot see (DESIGN.md §4d, §4h).
 
 Lock-order family
 -----------------
@@ -28,13 +29,39 @@ Lock-order family
                      instance-level ordering belongs to the runtime tracker
                      in src/common/lock_tracker.h.)
 
-  lock-across-await  A lock is held at a co_await. Beyond the UB that
-                     scripts/coro_lint.py already rejects (unlock on a
-                     foreign thread), a lock held across suspension is an
-                     unordered edge against everything the resuming executor
-                     may acquire — it can close a lock-order cycle that no
-                     syntactic nesting shows. Shares the lock-scope engine
-                     with the cycle rule.
+  lock-across-await  A MutexLock / std::lock_guard / std::unique_lock /
+                     std::scoped_lock is live at a co_await. Two hazards in
+                     one: the coroutine may resume on another thread, where
+                     unlocking a std mutex is undefined; and the held lock
+                     is an unordered edge against everything the resuming
+                     executor acquires, which can close a lock-order cycle
+                     no syntactic nesting shows. An explicit `lock.Unlock()`
+                     before the await clears the hazard (a following
+                     `lock.Lock()` re-arms it). Reported at the co_await.
+
+Coroutine family
+----------------
+  ref-capture-coro   A lambda whose body is a coroutine (contains co_await /
+                     co_return / co_yield) captures by reference or captures
+                     `this`. The lambda frame outlives the enclosing scope at
+                     the first suspension point, so every by-ref capture is a
+                     potential dangling reference. Reported at the lambda
+                     introducer.
+
+  discarded-task     A call to a function declared as returning Task<...> or
+                     Future<...> used as a bare expression statement. A
+                     discarded Task never runs (lazy start) and a discarded
+                     Future loses the only handle to its result. Call sites
+                     that co_await, Start(), assign, or otherwise consume the
+                     value are fine. Reported at the statement.
+
+  state-escape       Inside a coroutine body, a raw pointer or reference is
+                     bound to member state (an identifier with the trailing-
+                     underscore member convention, or through `this->`) and
+                     then used after a co_await in the same scope. Reentrancy
+                     means other turns of the same actor may mutate or move
+                     that state during the suspension. Reported at the
+                     binding declaration.
 
 Determinism-purity family (PACT paths must be deterministic)
 ------------------------------------------------------------
@@ -56,15 +83,15 @@ the whole-program call graph; each finding prints the entry-to-sink chain.
   nondet-pointer        pointer-value laundering: reinterpret_cast to
                         uintptr_t/intptr_t, std::hash over a pointer type
 
-Engine: the shared self-contained tokenizer in scripts/cpp_lexer.py — the
-same toolchain as scripts/coro_lint.py. compile_commands.json
-(CMAKE_EXPORT_COMPILE_COMMANDS) is used for translation-unit discovery when
-no explicit paths are given.
+Engine: the self-contained tokenizer in scripts/cpp_lexer.py (no libclang).
+compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS) is used for
+translation-unit discovery when no explicit paths are given; the analysis
+itself is syntactic.
 
 Suppressions:
   * inline: `// SNAPPER-ANALYZE-ALLOW(<rule>): <reason>` on the reported
     line or the comment block directly above it. The reason is mandatory —
-    a bare allow is itself an error.
+    a bare allow is itself an error (`allow-syntax`).
   * file-level: scripts/snapper_analyze_allow.txt entries of the form
     `<path-suffix>:<rule>[:<message-substring>]` (see that file's header).
 
@@ -80,7 +107,11 @@ Known over-approximations (all on the safe side, all suppressible):
     (lambda bodies are analyzed as their own functions);
   * lock identity is the (class, member) pair, so instance-level order
     within one class is out of scope statically — the runtime tracker
-    covers it by address.
+    covers it by address;
+  * std lock types join the lock-across-await rule only: they guard std
+    mutexes, which the lock graph does not model;
+  * discarded-task keys on names: a void function that shares its name
+    with a Task-returning one is flagged too.
 """
 
 import argparse
@@ -91,8 +122,7 @@ from collections import defaultdict, deque
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from cpp_lexer import (  # noqa: E402
-    Token,
-    comment_allows,
+    COROUTINE_KEYWORDS,
     default_compile_commands,
     discover_files,
     is_lambda_introducer,
@@ -105,6 +135,9 @@ RULES = (
     "lock-order-cycle",
     "self-deadlock",
     "lock-across-await",
+    "ref-capture-coro",
+    "discarded-task",
+    "state-escape",
     "nondet-clock",
     "nondet-random",
     "nondet-thread-id",
@@ -143,6 +176,9 @@ KEYWORDS = {
     "assert", "defined", "alignas", "typeid", "noexcept",
 }
 
+# RAII lock types. Only MutexLock joins the lock graph; the std ones guard
+# std mutexes and count for lock-across-await alone.
+LOCK_TYPES = {"MutexLock", "lock_guard", "unique_lock", "scoped_lock"}
 SMART_PTRS = {"shared_ptr", "unique_ptr", "weak_ptr", "optional"}
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset", "flat_hash_map", "flat_hash_set"}
@@ -532,12 +568,14 @@ def analyze_body(fd, prog, resolver):
     # direct locks (expr.Lock()) held until Unlock or function end:
     direct = []  # [lockclass, line, expr_text]
 
-    def held_now():
+    def held_now(unresolved=False):
+        """Held (lock, line) pairs; `unresolved` adds RAII locks outside the
+        graph, named by their expression."""
         held = []
         for scope in scopes:
             for v in scope:
-                if not v[4] and v[1]:
-                    held.append((v[1], v[2]))
+                if not v[4] and (v[1] or unresolved):
+                    held.append((v[1] or v[3], v[2]))
         held.extend((d[0], d[1]) for d in direct)
         return held
 
@@ -576,23 +614,29 @@ def analyze_body(fd, prog, resolver):
             i += 1
             continue
         if text == "co_await":
-            for lock, line in held_now():
+            for lock, line in held_now(unresolved=True):
                 facts.await_holds.append((lock, line, t.line))
             i += 1
             continue
-        if text == "MutexLock" and t.is_ident:
-            # MutexLock name(&EXPR);
+        if text in LOCK_TYPES and t.is_ident:
+            # LockType[<...>] name(&EXPR) | name{EXPR}
             j = i + 1
-            if j < hi and tokens[j].is_ident and j + 1 < hi \
-                    and tokens[j + 1].text == "(":
+            if j < hi and tokens[j].text == "<":
+                j = match_paren(tokens, j, "<", ">") + 1
+            if j + 1 < hi and tokens[j].is_ident \
+                    and tokens[j + 1].text in {"(", "{"}:
                 var = tokens[j].text
-                close = match_paren(tokens, j + 1)
+                opener = tokens[j + 1].text
+                close = match_paren(tokens, j + 1, opener,
+                                    ")" if opener == "(" else "}")
                 expr = tokens[j + 2:close]
                 if expr and expr[0].text == "&":
                     expr = expr[1:]
                 expr_text = "".join(x.text for x in expr)
-                lock = resolver.resolve(expr, fd, local_types)
-                on_acquire(lock, t.line, expr_text)
+                lock = None
+                if text == "MutexLock":
+                    lock = resolver.resolve(expr, fd, local_types)
+                    on_acquire(lock, t.line, expr_text)
                 scopes[-1].append([var, lock, t.line, expr_text, False])
                 i = close + 1
                 continue
@@ -968,9 +1012,10 @@ def lock_order_findings(prog, results):
             findings.append(Finding(
                 "lock-across-await", fd.path, await_line,
                 f"'{lock}' (acquired line {decl_line}, {fd.qname}) is held "
-                "across co_await; the resuming executor's acquisitions form "
-                "unordered edges against it, closing cycles no syntactic "
-                "nesting shows"))
+                "across co_await; the coroutine may resume on another "
+                "thread, where a std mutex must not unlock, and the "
+                "resuming executor's acquisitions form unordered edges "
+                "against it"))
     return findings
 
 
@@ -1020,6 +1065,187 @@ def _tarjan(graph):
                         break
                 sccs.append(comp)
     return sccs
+
+
+# ---------------------------------------------------------------------------
+# Coroutine rules (token-level, per file; Task names are program-wide)
+# ---------------------------------------------------------------------------
+
+# Single-token types accepted on the left of a `T* p = ...` / `T& r = ...`
+# binding in the state-escape rule (besides `auto` and any UpperCamel type).
+BUILTIN_TYPES = {
+    "int", "unsigned", "long", "short", "char", "bool", "float", "double",
+    "size_t", "ssize_t", "uintptr_t", "intptr_t",
+    "uint8_t", "uint16_t", "uint32_t", "uint64_t",
+    "int8_t", "int16_t", "int32_t", "int64_t",
+}
+STATEMENT_KEYWORDS = {
+    "return", "co_return", "co_await", "co_yield", "if", "while", "for",
+    "switch", "case", "else", "do", "new", "delete", "using", "typedef",
+    "template", "public", "private", "protected",
+}
+
+
+def coroutine_findings(prog):
+    """ref-capture-coro, discarded-task and state-escape over each file's
+    tokens; discarded-task's Task/Future names come from every file."""
+    task_names = set()
+    for tokens in prog.file_tokens.values():
+        _collect_task_returning(tokens, task_names)
+    findings = []
+    for path, tokens in prog.file_tokens.items():
+        def report(line, rule, message, path=path):
+            findings.append(Finding(rule, path, line, message))
+
+        _rule_ref_capture_coro(tokens, report)
+        _rule_discarded_task(tokens, report, task_names)
+        _rule_state_escape(tokens, report)
+    return findings
+
+
+def _rule_ref_capture_coro(tokens, report):
+    for i, tok in enumerate(tokens):
+        if not is_lambda_introducer(tokens, i):
+            continue
+        captures, lo, hi = lambda_body_range(tokens, i)
+        if lo is None or not any(t.text in COROUTINE_KEYWORDS
+                                 for t in tokens[lo:hi + 1]):
+            continue
+        texts = [t.text for t in captures]
+        # `[*this]` copies and is safe; a bare `this` capture is not.
+        this_cap = any(x == "this" and (k == 0 or texts[k - 1] != "*")
+                       for k, x in enumerate(texts))
+        if "&" in texts or this_cap:
+            report(tok.line, "ref-capture-coro",
+                   "lambda coroutine captures by reference or captures "
+                   "`this`; the frame outlives the capture at the first "
+                   "suspension")
+
+
+def _collect_task_returning(tokens, names):
+    """Adds every identifier declared with a Task<...> or Future<...> return
+    type in this token stream."""
+    for i, t in enumerate(tokens):
+        if t.text not in {"Task", "Future"} or not t.is_ident \
+                or i + 1 >= len(tokens) or tokens[i + 1].text != "<":
+            continue
+        j = match_paren(tokens, i + 1, "<", ">") + 1
+        # Skip qualification: Task<T> Class::Method( | Task<T> Method(
+        while j + 1 < len(tokens) and tokens[j].is_ident \
+                and tokens[j + 1].text == "::":
+            j += 2
+        if j + 1 < len(tokens) and tokens[j].is_ident \
+                and tokens[j + 1].text == "(":
+            names.add(tokens[j].text)
+
+
+def _rule_discarded_task(tokens, report, task_names):
+    # Statement boundaries are `;`, `{`, `}`; from each, walk a postfix chain
+    # — `a.b`, `a->b()`, `ns::f(x).g(y)` — to the statement's final callee.
+    n = len(tokens)
+    starts = [0] + [i + 1 for i, t in enumerate(tokens)
+                    if t.text in {";", "{", "}"}]
+    for s in starts:
+        i = s
+        if i >= n or not tokens[i].is_ident \
+                or tokens[i].text in STATEMENT_KEYWORDS:
+            continue
+        while i < n and tokens[i].is_ident:
+            name = tokens[i].text
+            nxt = i + 1
+            if nxt < n and tokens[nxt].text == "(":
+                after = match_paren(tokens, nxt) + 1
+                if after + 1 < n and tokens[after].text in {".", "->"} \
+                        and tokens[after + 1].is_ident:
+                    i = after + 1
+                    continue
+                # Final call of the chain. `task.Start(strand)` /
+                # `task.StartInline()` consumes a task for fire-and-forget:
+                # it runs and only the result Future is dropped, which is
+                # the caller's explicit choice.
+                if name in task_names \
+                        and name not in {"Start", "StartInline"} \
+                        and after < n and tokens[after].text == ";":
+                    report(tokens[s].line, "discarded-task",
+                           f"result of Task/Future-returning `{name}(...)` "
+                           "is discarded; a lazy Task never runs and a "
+                           "dropped Future loses its only result handle "
+                           "(co_await it, Start() it, or bind it)")
+                break
+            if nxt + 1 < n and tokens[nxt].text in {".", "->", "::"} \
+                    and tokens[nxt + 1].is_ident:
+                i = nxt + 1
+                continue
+            break
+
+
+def _rule_state_escape(tokens, report):
+    # Each outermost brace block that contains a coroutine keyword is a
+    # coroutine body (it covers its nested scopes).
+    i, n = 0, len(tokens)
+    while i < n:
+        if tokens[i].text != "{":
+            i += 1
+            continue
+        hi = match_paren(tokens, i, "{", "}")
+        body = tokens[i:hi + 1]
+        if any(t.text in COROUTINE_KEYWORDS for t in body):
+            _scan_state_escape(body, report)
+            i = hi + 1
+        else:
+            i += 1
+
+
+def _member_like(expr_tokens):
+    return any(t.text == "this" or (t.is_ident and t.text.endswith("_")
+                                    and not t.text.startswith("_"))
+               for t in expr_tokens)
+
+
+def _scan_state_escape(tokens, report):
+    # scopes: one dict per open brace, name -> [decl_line, awaited]
+    scopes = []
+    i, n = 0, len(tokens)
+    while i < n:
+        t = tokens[i]
+        if t.text == "{":
+            scopes.append({})
+        elif t.text == "}":
+            scopes.pop()
+            if not scopes:
+                return
+        elif t.text == "co_await":
+            for scope in scopes:
+                for b in scope.values():
+                    b[1] = True
+        elif t.is_ident:
+            # Declarations `auto& x = expr;` / `Type* x = expr;` with a
+            # single-token type: good enough for the member convention.
+            if i + 3 < n and tokens[i + 1].text in {"&", "*"} \
+                    and tokens[i + 2].is_ident and tokens[i + 3].text == "=" \
+                    and (t.text == "auto" or t.text[0].isupper()
+                         or t.text in BUILTIN_TYPES):
+                j = i + 4
+                while j < n and tokens[j].text != ";":
+                    j += 1
+                expr = tokens[i + 4:j]
+                if _member_like(expr) and not any(
+                        e.text in COROUTINE_KEYWORDS for e in expr):
+                    scopes[-1][tokens[i + 2].text] = [t.line, False]
+                i = j
+                continue
+            # A use of a tracked binding after an intervening co_await.
+            for scope in scopes:
+                b = scope.get(t.text)
+                if b and b[1]:
+                    report(b[0], "state-escape",
+                           f"`{t.text}` binds a raw pointer/reference into "
+                           "actor state and is used after a co_await (line "
+                           f"{t.line}); reentrant turns may mutate that "
+                           "state during the suspension")
+                    del scope[t.text]
+                    break
+        i += 1
 
 
 def purity_findings(prog, results):
@@ -1151,6 +1377,7 @@ def run_analysis(files):
     prog = build_program(files)
     results = analyze_program(prog)
     findings = lock_order_findings(prog, results)
+    findings.extend(coroutine_findings(prog))
     findings.extend(purity_findings(prog, results))
     return prog, findings
 

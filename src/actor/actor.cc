@@ -20,10 +20,7 @@ void StrandCheckFailed(const char* what, const std::string& actor_id) {
 }  // namespace internal
 
 ActorRuntime::ActorRuntime(Options options)
-    : options_(options),
-      executor_(options.num_workers),
-      rng_(options.seed),
-      max_delay_ms_(options.max_inject_delay_ms),
+    : executor_(options.num_workers),
       mailbox_capacity_(options.mailbox_capacity) {
   shards_.reserve(kShards);
   for (size_t i = 0; i < kShards; ++i) {
@@ -268,11 +265,6 @@ size_t ActorRuntime::MaxMailboxDepth() const {
     }
   }
   return max_depth;
-}
-
-uint32_t ActorRuntime::RandomDelayMs() {
-  MutexLock lock(&rng_mu_);
-  return static_cast<uint32_t>(rng_.Uniform(max_delay_ms_.load() + 1));
 }
 
 }  // namespace snapper

@@ -13,8 +13,8 @@
 //      deterministic scheduling, §3.1).
 //
 // Message timing is nondeterministic by construction (worker interleaving);
-// `Options::max_inject_delay_ms` adds randomized delivery delays on top, used
-// by the determinism property tests.
+// `msg_faults()` adds seeded delivery delays (and, for droppable messages,
+// loss and duplication) on top, used by the determinism property tests.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,6 @@
 #include "async/future.h"
 #include "async/task.h"
 #include "async/timer.h"
-#include "common/rng.h"
 
 namespace snapper {
 
@@ -151,9 +150,6 @@ class ActorRuntime {
   struct Options {
     /// Worker threads executing actor turns ("cores of the silo").
     size_t num_workers = 4;
-    /// Randomized per-message delivery delay, exercising Orleans'
-    /// nondeterministic message timing. 0 disables injection.
-    uint32_t max_inject_delay_ms = 0;
     /// Bounded-mailbox high watermark: a kDroppable Call whose target strand
     /// already holds this many queued turns is shed with a typed
     /// Status::Overloaded failure instead of enqueued. kReliable
@@ -161,7 +157,6 @@ class ActorRuntime {
     /// them mid-protocol would wedge commit chains; their volume is bounded
     /// upstream by admission control. 0 = unbounded.
     size_t mailbox_capacity = 0;
-    uint64_t seed = 42;
   };
 
   explicit ActorRuntime(Options options);
@@ -238,10 +233,6 @@ class ActorRuntime {
       }
       delay_ms = d.delay_ms;
     }
-    if (delay_ms == 0 && max_delay_ms_ != 0) {
-      delay_ms = static_cast<uint32_t>(
-          trace::DecisionU64(trace::Site::kInjectDelay, RandomDelayMs()));
-    }
     auto task = fn(*actor);
     if (delay_ms == 0) {
       return task.Start(actor->strand());
@@ -315,8 +306,6 @@ class ActorRuntime {
   void Shutdown();
 
  private:
-  uint32_t RandomDelayMs();
-
   /// A future pre-resolved with a typed kOverloaded error, returned from
   /// Call when the bounded-mailbox check sheds the message.
   template <typename T>
@@ -327,7 +316,6 @@ class ActorRuntime {
     return Future<T>(state);
   }
 
-  Options options_;
   Executor executor_;
   TimerService timers_;
 
@@ -371,14 +359,11 @@ class ActorRuntime {
   mutable Mutex retired_mu_;
   std::vector<std::shared_ptr<ActorBase>> retired_ GUARDED_BY(retired_mu_);
 
-  Mutex rng_mu_;
-  Rng rng_ GUARDED_BY(rng_mu_);
   MessageFaultInjector msg_faults_;
   std::atomic<size_t> num_activations_{0};
   std::atomic<size_t> num_kills_{0};
   std::atomic<size_t> mailbox_rejections_{0};
-  std::atomic<uint32_t> max_delay_ms_{0};
-  size_t mailbox_capacity_ = 0;  // copied from options_ at construction
+  size_t mailbox_capacity_ = 0;  // copied from Options at construction
   void* app_context_ = nullptr;
 };
 

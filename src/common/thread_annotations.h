@@ -11,8 +11,8 @@
 // discipline"):
 //   1. strand-confined state — no lock at all; correctness comes from the
 //      Strand's serialized execution. TSA cannot model this tier; it is
-//      covered by the coro_lint strand rules and SNAPPER_DCHECK_ON_STRAND
-//      runtime checks instead.
+//      covered by scripts/snapper_analyze.py's coroutine rules and
+//      SNAPPER_DCHECK_ON_STRAND runtime checks instead.
 //   2. mutex-guarded state — annotate the field GUARDED_BY(mu_) and take a
 //      MutexLock in every accessor.
 //   3. atomics — std::atomic fields, no annotation needed.

@@ -66,7 +66,8 @@ inline bool IsUnattributedCtx(uint64_t ctx) {
 /// them regardless of how harness threads interleave with turns.
 enum class Site : uint32_t {
   kMsgFault = 1,        ///< MessageFaultInjector verdict (packed)
-  kInjectDelay = 2,     ///< ActorRuntime::RandomDelayMs
+  kInjectDelay = 2,     ///< reserved (nothing draws it); numbers stay fixed
+                        ///< so old traces still parse
   kMailboxShed = 3,     ///< bounded-mailbox shed check in Call
   kAdmission = 4,       ///< AdmissionController::Admit status code
   kActorFailed = 5,     ///< ActorBase::failed() observation

@@ -18,12 +18,11 @@
 namespace snapper::harness {
 namespace {
 
-SnapperConfig ChaosConfig(uint64_t seed) {
+SnapperConfig ChaosConfig() {
   SnapperConfig config;
   config.num_workers = 2;
   config.num_coordinators = 2;
   config.num_loggers = 2;
-  config.seed = seed;
   // Short epochs: the round submits a couple dozen transactions and we want
   // them spread over several batches so the fault can land between batch
   // protocol steps, not only inside one giant batch.
@@ -161,7 +160,7 @@ ChaosReport RunSmallBankChaos(const ChaosOptions& options) {
   report.expected_total = kPerAccount * num_accounts;
 
   // --- Phase 1: run a faulted round.
-  auto stack = MakeSnapperStack(ChaosConfig(options.seed), &env, &env);
+  auto stack = MakeSnapperStack(ChaosConfig(), &env, &env);
   if (options.inject_fault) {
     report.fault_sync = options.fault_sync != 0
                             ? options.fault_sync
@@ -377,12 +376,11 @@ ActorChaosReport RunSmallBankActorChaos(const ActorChaosOptions& options) {
     otxn::OtxnConfig config;
     config.num_workers = 2;
     config.num_loggers = 2;
-    config.seed = opts.seed;
     config.wal_segment_bytes = opts.wal_segment_bytes;
     config.checkpoint_threshold_bytes = opts.checkpoint_threshold_bytes;
     stack = MakeOtxnStack(config, &base);
   } else {
-    SnapperConfig config = ChaosConfig(opts.seed);
+    SnapperConfig config = ChaosConfig();
     config.batch_deadline = opts.batch_deadline;
     config.act_resolution_deadline = opts.act_resolution_deadline;
     config.wal_segment_bytes = opts.wal_segment_bytes;
@@ -459,7 +457,6 @@ BoundedRecoveryReport RunBoundedRecovery(const BoundedRecoveryOptions& options) 
     otxn::OtxnConfig config;
     config.num_workers = 2;
     config.num_loggers = 2;
-    config.seed = options.seed;
     config.wal_segment_bytes = options.wal_segment_bytes;
     config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
     stack = MakeOtxnStack(config, &env);
@@ -468,7 +465,6 @@ BoundedRecoveryReport RunBoundedRecovery(const BoundedRecoveryOptions& options) 
     config.num_workers = 2;
     config.num_coordinators = 2;
     config.num_loggers = 2;
-    config.seed = options.seed;
     config.wal_segment_bytes = options.wal_segment_bytes;
     config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
     stack = MakeSnapperStack(config, &env);

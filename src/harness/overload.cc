@@ -225,7 +225,6 @@ std::unique_ptr<SmallBankStack> MakeRampStack(
     otxn::OtxnConfig config;
     config.num_workers = 2;
     config.num_loggers = 2;
-    config.seed = options.seed;
     // Budget sized at the calibration operating point: phase 1 runs
     // (pact_tokens + act_tokens) / 2 in flight, so admission pins the
     // saturated occupancy at the same knee the peak was measured at. The
@@ -244,7 +243,6 @@ std::unique_ptr<SmallBankStack> MakeRampStack(
   config.num_coordinators = 2;
   config.num_loggers = 2;
   config.min_batch_interval = std::chrono::microseconds(1000);
-  config.seed = options.seed;
   config.max_inflight_pacts = options.pact_tokens;
   config.max_inflight_acts = options.act_tokens;
   config.admission_degrade_threshold = options.degrade_threshold;

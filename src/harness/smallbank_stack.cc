@@ -119,7 +119,7 @@ class OtxnStack : public SmallBankStack {
   }
 
   Future<Unit> Kill(uint64_t account) override {
-    // coro-lint: allow(discarded-task) — OtxnRuntime::KillActor is void
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): OtxnRuntime::KillActor is void.
     rt_->KillActor(ActorId{type_, account});
     return {};
   }
@@ -143,7 +143,7 @@ class OtxnStack : public SmallBankStack {
     // Also clears any residue of dropped Commit/Abort messages (stale
     // dirty-write stacks, stuck locks).
     for (int a = 0; a < num_accounts; ++a) {
-      // coro-lint: allow(discarded-task) — an otxn kill has no future
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): an otxn kill has no future.
       Kill(a);
     }
     return "";

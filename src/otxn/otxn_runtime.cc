@@ -354,10 +354,10 @@ Task<void> OtxnActor::Commit(uint64_t tid) {
     record.type = LogRecordType::kActCommit;
     record.id = tid;
     record.actor = id();
-    // Fire-and-forget: the TA's decision table is the commit authority and
-    // recovery consults it (WaitDecided); this record is advisory, so a
-    // lost append degrades recovery speed, never correctness.
-    // coro-lint: allow(discarded-task)
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget; the TA's
+    // decision table is the commit authority and recovery consults it
+    // (WaitDecided). This record is advisory, so a lost append degrades
+    // recovery speed, never correctness.
     rt.log_manager().LoggerFor(id()).Append(std::move(record));
   }
   co_return;
@@ -432,7 +432,6 @@ OtxnRuntime::OtxnRuntime(OtxnConfig config, Env* env)
   ActorRuntime::Options options;
   options.num_workers = config.num_workers;
   options.mailbox_capacity = config.mailbox_capacity;
-  options.seed = config.seed;
   runtime_ = std::make_unique<ActorRuntime>(options);
   log_manager_ = std::make_unique<LogManager>(
       LogManager::Options{
@@ -444,7 +443,7 @@ OtxnRuntime::OtxnRuntime(OtxnConfig config, Env* env)
   if (auto* cp = log_manager_->checkpoints();
       cp != nullptr && cp->checkpointing_enabled()) {
     cp->SetRequestCheckpointFn([this](const ActorId& id) {
-      // coro-lint: allow(discarded-task) — fire-and-forget turn; the
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget turn; the
       // CheckpointManager learns the outcome via its own hooks.
       runtime_->Call<OtxnActor>(
           id, [](OtxnActor& a) { return a.MaybeCheckpoint(); });
@@ -464,7 +463,7 @@ void OtxnRuntime::KillActor(const ActorId& id) {
     kill_marks_[id] = std::chrono::steady_clock::now();
   }
   counters_.actor_kills.fetch_add(1);
-  // coro-lint: allow(discarded-task) — ActorRuntime::KillActor returns
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): ActorRuntime::KillActor returns
   // bool; the Future-returning KillActor is SnapperRuntime's.
   runtime_->KillActor(id);
 }

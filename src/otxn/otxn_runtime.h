@@ -57,7 +57,6 @@ struct OtxnConfig {
   size_t max_inflight_txns = 0;
   /// Bounded actor mailboxes (0 = unbounded); see SnapperConfig.
   size_t mailbox_capacity = 0;
-  uint64_t seed = 42;
 };
 
 /// The TA: tid assignment plus the commit-status table that early lock

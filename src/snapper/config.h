@@ -64,9 +64,6 @@ struct SnapperConfig {
   /// p99 is 3-7 ms on the snapbench workloads).
   std::chrono::milliseconds act_wait_timeout{150};
 
-  /// Randomized message-delay injection for determinism tests (0 = off).
-  uint32_t max_inject_delay_ms = 0;
-
   /// Liveness watchdog for the PACT batch protocol (0 = off). A batch not
   /// commit-eligible this long after emission — participant died, a
   /// BatchComplete or its ack was lost — is deterministically aborted by its
@@ -100,6 +97,7 @@ struct SnapperConfig {
   /// work never trips it.
   size_t mailbox_capacity = 0;
 
+  /// Read by nothing; kept only while snapbench still assigns it.
   uint64_t seed = 42;
 };
 

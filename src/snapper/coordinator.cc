@@ -222,7 +222,7 @@ Task<void> CoordinatorActor::LogAndEmitBatch(uint64_t bid) {
         p.SetException(std::make_exception_ptr(TxnAbort(aborted)));
       }
       batches_.erase(it);
-      // coro-lint: allow(discarded-task) — fire-and-forget abort round
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget abort round.
       ctx.abort_controller->RequestAbort(bid, s);
       co_return;
     }
@@ -308,7 +308,8 @@ void CoordinatorActor::AbortStuckBatch(uint64_t bid, const Status& cause) {
     LogRecord record;
     record.type = LogRecordType::kBatchAbort;
     record.id = bid;
-    // coro-lint: allow(discarded-task) — fire-and-forget, see above
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget; the in-memory
+    // abort below decides regardless (see above).
     ctx.log_manager->LoggerForCoordinator(index_).Append(std::move(record));
   }
 
@@ -318,7 +319,7 @@ void CoordinatorActor::AbortStuckBatch(uint64_t bid, const Status& cause) {
     p.SetException(std::make_exception_ptr(TxnAbort(cause)));
   }
   batches_.erase(it);
-  // coro-lint: allow(discarded-task) — fire-and-forget abort round
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget abort round.
   ctx.abort_controller->RequestAbort(bid, cause);
 }
 

@@ -179,9 +179,7 @@ SnapperRuntime::SnapperRuntime(SnapperConfig config, Env* env)
 
   ActorRuntime::Options options;
   options.num_workers = config.num_workers;
-  options.max_inject_delay_ms = config.max_inject_delay_ms;
   options.mailbox_capacity = config.mailbox_capacity;
-  options.seed = config.seed;
   runtime_ = std::make_unique<ActorRuntime>(options);
 
   log_manager_ = std::make_unique<LogManager>(
@@ -197,7 +195,7 @@ SnapperRuntime::SnapperRuntime(SnapperConfig config, Env* env)
     // threshold; the checkpoint itself runs as a normal turn on the actor's
     // strand and defers (skips) unless the actor is quiescent.
     cp->SetRequestCheckpointFn([this](const ActorId& id) {
-      // coro-lint: allow(discarded-task) — fire-and-forget turn; the
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget turn; the
       // CheckpointManager is notified of the outcome via its own hooks.
       runtime_->Call<TransactionalActor>(id, [](TransactionalActor& a) {
         return a.MaybeCheckpoint();
@@ -369,7 +367,7 @@ Future<Unit> SnapperRuntime::KillActor(const ActorId& id) {
   assert(started_);
   const uint64_t generation = context_.MarkActorKilled(id);
   context_.counters.actor_kills.fetch_add(1);
-  // coro-lint: allow(discarded-task) — ActorRuntime::KillActor returns
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): ActorRuntime::KillActor returns
   // bool; only SnapperRuntime's same-named method is a Future.
   runtime_->KillActor(id);
   // Coordinators abort in-flight batches naming the dead participant, with

@@ -81,7 +81,7 @@ void TransactionalActor::OnKill() {
   // everything parked on it must fail now so no caller blocks forever, and
   // the global abort round's quiesce must not wait on it.
   lock_.FailAllWaiters(status);
-  // coro-lint: allow(discarded-task) — LocalScheduleManager's
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): LocalScheduleManager's
   // AbortUncommitted returns void; only ours is a Task.
   schedule_.AbortUncommitted(status, [](uint64_t) { return false; });
   NotifyQuiesce();
@@ -214,7 +214,7 @@ Task<Value> TransactionalActor::InvokeTxn(TxnContext ctx, FuncCall call) {
       // A PACT invocation landing on a dead/recovering activation can never
       // complete its access; abort the batch deterministically instead of
       // silently dropping it (the global schedule must not hang on us).
-      // coro-lint: allow(discarded-task) — fire-and-forget abort round
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget abort round.
       sctx().abort_controller->RequestAbort(ctx.bid, st);
     }
     throw TxnAbort(st);
@@ -267,9 +267,9 @@ Task<Value> TransactionalActor::InvokePact(TxnContext ctx,
     Status cause = StatusFromException(error);
     if (!(cause.IsTxnAborted() &&
           cause.abort_reason() == AbortReason::kCascading)) {
-      // Fire-and-forget: awaiting the round here would deadlock the
-      // quiesce phase (this invocation is still active).
-      // coro-lint: allow(discarded-task)
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget; awaiting
+      // the round here would deadlock the quiesce phase (this invocation
+      // is still active).
       sctx().abort_controller->RequestAbort(ctx.bid, cause);
     }
     active_invocations_--;
@@ -742,9 +742,9 @@ void TransactionalActor::CommitActLocal(uint64_t tid, uint64_t final_max_bs) {
     record.type = LogRecordType::kActCommit;
     record.id = tid;
     record.actor = id();
-    // Fire-and-forget: the commit decision is already durable at the 2PC
-    // coordinator (CoordCommit); this record only speeds up recovery.
-    // coro-lint: allow(discarded-task)
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget; the commit
+    // decision is already durable at the 2PC coordinator (CoordCommit), and
+    // this record only speeds up recovery.
     ctx.log_manager->LoggerFor(id()).Append(std::move(record));
   }
 
@@ -812,7 +812,7 @@ Task<void> TransactionalActor::ReceiveBatch(BatchMsg msg) {
     // of the batch instead of dropping the message: dropping would leave
     // the coordinator waiting for an ack that never comes (a hang when the
     // batch deadline is disabled).
-    // coro-lint: allow(discarded-task) — fire-and-forget abort round
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget abort round.
     sctx().abort_controller->RequestAbort(
         msg.bid,
         Status::TxnAborted(AbortReason::kActorFailed,
@@ -862,7 +862,7 @@ Task<void> TransactionalActor::LogAndAckSubBatch(uint64_t bid) {
       // without it the batch (and every successor chained behind it) would
       // hang forever. Fail the batch through a global abort round; the
       // round resolves the pending client futures with the abort status.
-      // coro-lint: allow(discarded-task) — fire-and-forget abort round
+      // SNAPPER-ANALYZE-ALLOW(discarded-task): fire-and-forget abort round.
       ctx.abort_controller->RequestAbort(bid, ls);
       co_return;
     }
@@ -963,7 +963,8 @@ Task<bool> TransactionalActor::CheckpointAndDeactivate() {
   // instance whose OnActivate picks up the staged state directly — no
   // recovering_ window, no WAL replay. Self-eviction is safe: the runtime
   // pins this zombie until Shutdown and posts OnKill as a separate turn.
-  // coro-lint: allow(discarded-task) — ActorRuntime::KillActor returns bool
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): ActorRuntime::KillActor returns
+  // bool.
   runtime().KillActor(id());
   co_return true;
 }

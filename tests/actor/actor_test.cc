@@ -142,8 +142,9 @@ TEST_F(ActorRuntimeTest, CrashAllActorsDropsState) {
 }
 
 TEST(ActorRuntimeDelayTest, InjectedDelaysPreserveSerialization) {
-  ActorRuntime rt(
-      ActorRuntime::Options{.num_workers = 4, .max_inject_delay_ms = 3});
+  ActorRuntime rt(ActorRuntime::Options{.num_workers = 4});
+  rt.msg_faults().InjectProbabilistically(
+      {.delay_probability = 1, .max_delay_ms = 3}, /*seed=*/7);
   uint32_t type = rt.RegisterType(
       "Counter", [](uint64_t) { return std::make_shared<CounterActor>(); });
   std::vector<Future<int64_t>> futures;
@@ -156,6 +157,8 @@ TEST(ActorRuntimeDelayTest, InjectedDelaysPreserveSerialization) {
                                   [](CounterActor& a) { return a.Get(); })
                 .Get(),
             100);
+  // Every call went through the timer: a disarmed injector fails here.
+  EXPECT_GT(rt.msg_faults().delayed(), 0u);
 }
 
 // Witnesses OnKill: the fail-stop hook must run (on the strand) exactly once

@@ -302,13 +302,14 @@ TEST_F(SnapperIntegrationTest, BatchingAmortizesMessages) {
 
 TEST_F(SnapperIntegrationTest, DeterministicExecutionAcrossRuns) {
   // The same PACT submission sequence must yield identical final states,
-  // whatever the thread/message timing — run twice with delay injection.
-  auto run_once = [&](uint64_t seed) -> std::vector<double> {
+  // whatever the thread/message timing — run twice with every message
+  // delayed, under different fault seeds.
+  auto run_once = [&](uint64_t fault_seed) -> std::vector<double> {
     MemEnv env;
     SnapperConfig config;
-    config.max_inject_delay_ms = 2;
-    config.seed = seed;  // different runtime timing per run
     SnapperRuntime rt(config, &env);
+    rt.runtime().msg_faults().InjectProbabilistically(
+        {.delay_probability = 1, .max_delay_ms = 2}, fault_seed);
     uint32_t type = smallbank::RegisterSmallBank(rt);
     rt.Start();
     std::vector<Future<TxnResult>> futures;
@@ -329,6 +330,8 @@ TEST_F(SnapperIntegrationTest, DeterministicExecutionAcrossRuns) {
                                     {{ActorId{type, k}, 1}})
                              .value.AsDouble());
     }
+    // A disarmed injector would pass the comparison below trivially.
+    EXPECT_GT(rt.runtime().msg_faults().delayed(), 0u);
     return balances;
   };
   // NOTE: with concurrent client submission the arrival order at the

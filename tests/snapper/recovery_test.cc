@@ -204,7 +204,6 @@ TEST(KillRoundRecoveryTest, RecoveredStateMatchesLiveStateAfterKill) {
     config.num_workers = 2;
     config.num_coordinators = 2;
     config.num_loggers = 2;
-    config.seed = seed;
     auto balances = [&](SnapperRuntime& rt, uint32_t type) {
       std::vector<double> out;
       for (uint64_t k = 0; k < kAccounts; ++k) {
