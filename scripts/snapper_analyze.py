@@ -49,11 +49,13 @@ Coroutine family
                      introducer.
 
   discarded-task     A call to a function declared as returning Task<...> or
-                     Future<...> used as a bare expression statement. A
-                     discarded Task never runs (lazy start) and a discarded
-                     Future loses the only handle to its result. Call sites
-                     that co_await, Start(), assign, or otherwise consume the
-                     value are fine. Reported at the statement.
+                     Future<...> (or declared `auto` with a body that
+                     returns such a call, like ActorRuntime::Call<A>) used
+                     as a bare expression statement. A discarded Task never
+                     runs (lazy start) and a discarded Future loses the only
+                     handle to its result. Call sites that co_await,
+                     Start(), assign, or otherwise consume the value are
+                     fine. Reported at the statement.
 
   state-escape       Inside a coroutine body, a raw pointer or reference is
                      bound to member state (an identifier with the trailing-
@@ -1092,6 +1094,11 @@ def coroutine_findings(prog):
     task_names = set()
     for tokens in prog.file_tokens.values():
         _collect_task_returning(tokens, task_names)
+    grew = True
+    while grew:
+        grew = False
+        for tokens in prog.file_tokens.values():
+            grew = _collect_auto_task_returning(tokens, task_names) or grew
     findings = []
     for path, tokens in prog.file_tokens.items():
         def report(line, rule, message, path=path):
@@ -1139,44 +1146,109 @@ def _collect_task_returning(tokens, names):
             names.add(tokens[j].text)
 
 
-def _rule_discarded_task(tokens, report, task_names):
-    # Statement boundaries are `;`, `{`, `}`; from each, walk a postfix chain
-    # — `a.b`, `a->b()`, `ns::f(x).g(y)` — to the statement's final callee.
+def _collect_auto_task_returning(tokens, names):
+    """Adds every function declared `auto` whose trailing return type is a
+    Task/Future, or whose body returns the result of a call to a name
+    already known to return one (`auto Call(...) { ... return
+    task.GetFuture(); }`). Returns whether a name was added: one `auto`
+    function may forward another, so callers iterate to a fixpoint."""
+    added = False
     n = len(tokens)
+    for i, t in enumerate(tokens):
+        if t.text != "auto":
+            continue
+        j = i + 1
+        while j + 1 < n and tokens[j].is_ident and tokens[j + 1].text == "::":
+            j += 2
+        if j + 1 >= n or not tokens[j].is_ident \
+                or tokens[j + 1].text != "(" or tokens[j].text in names:
+            continue
+        k = match_paren(tokens, j + 1) + 1
+        while k < n and tokens[k].text in {"const", "noexcept", "override",
+                                           "final", "&", "&&"}:
+            k += 1
+        if k + 1 >= n:
+            continue
+        if tokens[k].text == "->":
+            returns_task = tokens[k + 1].text in {"Task", "Future"}
+        elif tokens[k].text == "{":
+            hi = match_paren(tokens, k, "{", "}")
+            returns_task = any(
+                tokens[r].text == "return" and
+                _final_call(tokens, r + 1) in names
+                for r in range(k + 1, hi))
+        else:
+            continue
+        if returns_task:
+            names.add(tokens[j].text)
+            added = True
+    return added
+
+
+def _template_close(tokens, i):
+    """tokens[i] is `<`: the index of the `>` (or `>>`) closing it before
+    the statement ends, else None (then it was a less-than)."""
+    depth = 0
+    for j in range(i, len(tokens)):
+        t = tokens[j].text
+        if t == "<":
+            depth += 1
+        elif t in {">", ">>"}:
+            depth -= len(t)
+            if depth <= 0:
+                return j
+        elif t in {";", "{", "}"}:
+            return None
+    return None
+
+
+def _final_call(tokens, i):
+    """Walks the postfix chain starting at tokens[i] — `a.b`, `a->b()`,
+    `ns::f(x).g(y)`, `rt.Call<A>(x)` — and returns the name of its final
+    call when that call ends the statement (`;` follows), else None."""
+    n = len(tokens)
+    while i < n and tokens[i].is_ident:
+        name = tokens[i].text
+        nxt = i + 1
+        if nxt < n and tokens[nxt].text == "<":
+            close = _template_close(tokens, nxt)
+            if close is not None and close + 1 < n \
+                    and tokens[close + 1].text == "(":
+                nxt = close + 1
+        if nxt < n and tokens[nxt].text == "(":
+            after = match_paren(tokens, nxt) + 1
+            if after + 1 < n and tokens[after].text in {".", "->"} \
+                    and tokens[after + 1].is_ident:
+                i = after + 1
+                continue
+            return name if after < n and tokens[after].text == ";" else None
+        if nxt + 1 < n and tokens[nxt].text in {".", "->", "::"} \
+                and tokens[nxt + 1].is_ident:
+            i = nxt + 1
+            continue
+        return None
+    return None
+
+
+def _rule_discarded_task(tokens, report, task_names):
+    # Statement boundaries are `;`, `{`, `}`; from each, walk the postfix
+    # chain to the statement's final callee.
     starts = [0] + [i + 1 for i, t in enumerate(tokens)
                     if t.text in {";", "{", "}"}]
     for s in starts:
-        i = s
-        if i >= n or not tokens[i].is_ident \
-                or tokens[i].text in STATEMENT_KEYWORDS:
+        if s >= len(tokens) or not tokens[s].is_ident \
+                or tokens[s].text in STATEMENT_KEYWORDS:
             continue
-        while i < n and tokens[i].is_ident:
-            name = tokens[i].text
-            nxt = i + 1
-            if nxt < n and tokens[nxt].text == "(":
-                after = match_paren(tokens, nxt) + 1
-                if after + 1 < n and tokens[after].text in {".", "->"} \
-                        and tokens[after + 1].is_ident:
-                    i = after + 1
-                    continue
-                # Final call of the chain. `task.Start(strand)` /
-                # `task.StartInline()` consumes a task for fire-and-forget:
-                # it runs and only the result Future is dropped, which is
-                # the caller's explicit choice.
-                if name in task_names \
-                        and name not in {"Start", "StartInline"} \
-                        and after < n and tokens[after].text == ";":
-                    report(tokens[s].line, "discarded-task",
-                           f"result of Task/Future-returning `{name}(...)` "
-                           "is discarded; a lazy Task never runs and a "
-                           "dropped Future loses its only result handle "
-                           "(co_await it, Start() it, or bind it)")
-                break
-            if nxt + 1 < n and tokens[nxt].text in {".", "->", "::"} \
-                    and tokens[nxt + 1].is_ident:
-                i = nxt + 1
-                continue
-            break
+        name = _final_call(tokens, s)
+        # `task.Start(strand)` / `task.StartInline()` consumes a task for
+        # fire-and-forget: it runs and only the result Future is dropped,
+        # which is the caller's explicit choice.
+        if name in task_names and name not in {"Start", "StartInline"}:
+            report(tokens[s].line, "discarded-task",
+                   f"result of Task/Future-returning `{name}(...)` "
+                   "is discarded; a lazy Task never runs and a "
+                   "dropped Future loses its only result handle "
+                   "(co_await it, Start() it, or bind it)")
 
 
 def _rule_state_escape(tokens, report):

@@ -1,48 +1,15 @@
 #include "harness/client.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <queue>
+#include <deque>
 #include <thread>
 #include <vector>
 
+#include "common/mutex.h"
+
 namespace snapper::harness {
-
-bool PushPullQueue::Push(TxnRequest request) {
-  MutexLock lock(&mu_);
-  not_full_.Wait(mu_, [this]() REQUIRES(mu_) {
-    return closed_ || queue_.size() < capacity_;
-  });
-  if (closed_) return false;
-  queue_.push_back(std::move(request));
-  lock.Unlock();
-  not_empty_.NotifyOne();
-  return true;
-}
-
-bool PushPullQueue::Pop(TxnRequest* request) {
-  MutexLock lock(&mu_);
-  not_empty_.Wait(mu_, [this]() REQUIRES(mu_) {
-    return closed_ || !queue_.empty();
-  });
-  if (queue_.empty()) return false;  // closed and drained
-  *request = std::move(queue_.front());
-  queue_.pop_front();
-  lock.Unlock();
-  not_full_.NotifyOne();
-  return true;
-}
-
-void PushPullQueue::Close() {
-  {
-    MutexLock lock(&mu_);
-    closed_ = true;
-  }
-  not_full_.NotifyAll();
-  not_empty_.NotifyAll();
-}
 
 namespace {
 
@@ -53,22 +20,6 @@ struct Completion {
   TxnResult result;
   Clock::time_point start;
   bool is_pact;
-  /// Retry support: the original request (kept only while another attempt
-  /// is still allowed) and which attempt this completion ends (0-based).
-  TxnRequest request;
-  int attempt = 0;
-  bool retryable = false;
-};
-
-/// An ACT attempt waiting out its backoff before resubmission.
-struct PendingRetry {
-  Clock::time_point ready;
-  TxnRequest request;
-  int attempt = 0;  ///< attempt number the resubmission will carry
-
-  bool operator>(const PendingRetry& other) const {
-    return ready > other.ready;
-  }
 };
 
 /// Unbounded MPSC channel from future continuations to one client thread.
@@ -91,19 +42,6 @@ class CompletionChannel {
     return c;
   }
 
-  /// Like Pop, but gives up at `deadline` (so the client thread can wake up
-  /// to resubmit a backed-off retry). Returns false on timeout.
-  bool PopUntil(Clock::time_point deadline, Completion* out) {
-    MutexLock lock(&mu_);
-    if (!cv_.WaitUntil(mu_, deadline,
-                       [this]() REQUIRES(mu_) { return !queue_.empty(); })) {
-      return false;
-    }
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
-  }
-
  private:
   Mutex mu_;
   CondVar cv_;
@@ -114,106 +52,38 @@ class CompletionChannel {
 
 BenchResult RunBench(const ClientConfig& config, const GeneratorFn& generate,
                      const SubmitFn& submit) {
-  PushPullQueue queue(config.queue_capacity);
   std::atomic<int> epoch{0};
   std::atomic<bool> stop{false};
 
-  // Producer: keeps the queue full (§5.1.2).
-  std::thread producer([&] {
-    Rng rng(config.seed);
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!queue.Push(generate(rng))) return;
-    }
-  });
-
   // metrics[client][epoch], merged after the run.
-  std::vector<std::vector<EpochMetrics>> metrics(config.num_clients);
-  for (auto& m : metrics) m.resize(static_cast<size_t>(config.num_epochs));
+  std::vector<std::vector<EpochMetrics>> metrics(
+      config.num_clients,
+      std::vector<EpochMetrics>(static_cast<size_t>(config.num_epochs)));
 
   std::vector<std::thread> clients;
   clients.reserve(config.num_clients);
   for (size_t c = 0; c < config.num_clients; ++c) {
     clients.emplace_back([&, c] {
-      CompletionChannel completions;
-      size_t in_flight = 0;
-      // Per-client overload retry budget; shared across requests, never
-      // refilled (ClientConfig::overload_retry_budget).
-      uint64_t overload_budget_used = 0;
-      // Backed-off ACT retries, ordered by resubmission time.
-      std::priority_queue<PendingRetry, std::vector<PendingRetry>,
-                          std::greater<PendingRetry>>
-          retries;
       // Derive, don't XOR: adjacent client ids XORed into the same seed
-      // produce correlated low-bit streams, so clients would back off in
-      // lockstep and re-collide.
-      Rng jitter(Rng::Derive(config.seed, c + 1));
-
-      auto submit_request = [&](TxnRequest request, int attempt) {
+      // produce correlated low-bit streams.
+      Rng rng(Rng::Derive(config.seed, c + 1));
+      CompletionChannel completions;
+      auto submit_one = [&] {
+        TxnRequest request = generate(rng);
         const bool is_pact = request.mode == TxnMode::kPact;
-        // Keep the request copy whenever any retry path might need it: ACT
-        // conflict retries (bounded per-attempt) or overload retries
-        // (bounded by the shared budget, any mode).
-        const bool retryable = (request.mode == TxnMode::kAct &&
-                                attempt < config.max_act_retries) ||
-                               config.overload_retry_budget > 0;
         const auto start = Clock::now();
-        if (attempt == 0) request.first_submit = start;
-        TxnRequest copy;
-        if (retryable) copy = request;
         Future<TxnResult> future = submit(std::move(request));
-        future.OnReady([&completions, future, start, is_pact, attempt,
-                        retryable, copy = std::move(copy)]() mutable {
-          completions.Push(Completion{future.Peek(), start, is_pact,
-                                      std::move(copy), attempt, retryable});
+        future.OnReady([&completions, future, start, is_pact] {
+          completions.Push(Completion{future.Peek(), start, is_pact});
         });
-        in_flight++;
       };
 
-      auto submit_one = [&]() -> bool {
-        TxnRequest request;
-        if (!queue.Pop(&request)) return false;
-        submit_request(std::move(request), /*attempt=*/0);
-        return true;
-      };
-
-      // Jitter down to half the nominal backoff: simultaneous wait-die
-      // victims (or shed submitters) must not stampede back in lockstep.
-      auto jittered = [&](std::chrono::microseconds backoff) {
-        const auto us = static_cast<uint64_t>(backoff.count());
-        return std::chrono::microseconds(us - jitter.Uniform(us / 2 + 1));
-      };
-      auto backoff_for = [&](int attempt) {
-        return jittered(SaturatingBackoff(config.act_retry_backoff, attempt,
-                                          config.act_retry_backoff_cap));
-      };
-      auto overload_backoff_for = [&](int attempt) {
-        return jittered(SaturatingBackoff(config.overload_retry_backoff,
-                                          attempt,
-                                          config.overload_retry_backoff_cap));
-      };
-
-      for (size_t i = 0; i < config.pipeline; ++i) {
-        if (!submit_one()) break;
-      }
-      while (in_flight > 0 ||
-             (!retries.empty() && !stop.load(std::memory_order_relaxed))) {
-        // Resubmit every retry whose backoff has elapsed.
-        while (!retries.empty() && retries.top().ready <= Clock::now()) {
-          PendingRetry r = std::move(const_cast<PendingRetry&>(retries.top()));
-          retries.pop();
-          submit_request(std::move(r.request), r.attempt);
-        }
-        Completion done;
-        if (retries.empty()) {
-          if (in_flight == 0) continue;
-          done = completions.Pop();
-        } else if (!completions.PopUntil(retries.top().ready, &done)) {
-          continue;  // woke up to resubmit
-        }
-        in_flight--;
+      for (size_t i = 0; i < config.pipeline; ++i) submit_one();
+      size_t in_flight = config.pipeline;
+      while (in_flight > 0) {
+        const Completion done = completions.Pop();
         const int e = epoch.load(std::memory_order_relaxed);
-        const bool in_window = e >= 0 && e < config.num_epochs;
-        if (in_window) {
+        if (e < config.num_epochs) {
           const auto latency =
               std::chrono::duration_cast<std::chrono::microseconds>(
                   Clock::now() - done.start)
@@ -221,48 +91,11 @@ BenchResult RunBench(const ClientConfig& config, const GeneratorFn& generate,
           metrics[c][static_cast<size_t>(e)].Record(
               done.is_pact, done.result, static_cast<uint64_t>(latency));
         }
-        const Status& s = done.result.status;
-        if (done.retryable && s.IsOverloaded() &&
-            !stop.load(std::memory_order_relaxed)) {
-          // Shed by admission control or a bounded mailbox. Retry after
-          // backoff while the request is within its deadline and the
-          // client's shared retry budget lasts; otherwise abandon and pull
-          // fresh work (the back-pressure path).
-          const bool past_deadline =
-              config.request_deadline.count() > 0 &&
-              Clock::now() - done.request.first_submit >=
-                  config.request_deadline;
-          if (past_deadline) {
-            if (in_window) {
-              metrics[c][static_cast<size_t>(e)].deadline_abandoned++;
-            }
-          } else if (overload_budget_used < config.overload_retry_budget) {
-            overload_budget_used++;
-            if (in_window) {
-              metrics[c][static_cast<size_t>(e)].overload_retries++;
-            }
-            retries.push(
-                PendingRetry{Clock::now() + overload_backoff_for(done.attempt),
-                             std::move(done.request), done.attempt + 1});
-            continue;
-          } else if (config.overload_retry_budget > 0) {
-            if (in_window) {
-              metrics[c][static_cast<size_t>(e)].retry_budget_exhausted++;
-            }
-          }
-        } else if (done.retryable && s.IsTxnAborted() &&
-                   s.abort_reason() == AbortReason::kActActConflict &&
-                   done.attempt < config.max_act_retries &&
-                   !stop.load(std::memory_order_relaxed)) {
-          // Wait-die victim: try again after backoff instead of pulling a
-          // fresh request (keeps the pipeline depth roughly constant).
-          if (in_window) metrics[c][static_cast<size_t>(e)].act_retries++;
-          retries.push(PendingRetry{Clock::now() + backoff_for(done.attempt),
-                                    std::move(done.request),
-                                    done.attempt + 1});
-          continue;
+        if (stop.load(std::memory_order_relaxed)) {
+          in_flight--;
+        } else {
+          submit_one();
         }
-        if (!stop.load(std::memory_order_relaxed)) submit_one();
       }
     });
   }
@@ -275,8 +108,6 @@ BenchResult RunBench(const ClientConfig& config, const GeneratorFn& generate,
   }
   epoch.store(config.num_epochs);  // late completions fall outside
   stop.store(true);
-  queue.Close();
-  producer.join();
   for (auto& t : clients) t.join();
 
   BenchResult result;
@@ -290,18 +121,6 @@ BenchResult RunBench(const ClientConfig& config, const GeneratorFn& generate,
     }
   }
   return result;
-}
-
-std::chrono::microseconds SaturatingBackoff(std::chrono::microseconds base,
-                                            int attempt,
-                                            std::chrono::microseconds cap) {
-  if (base.count() <= 0) return std::chrono::microseconds(0);
-  if (attempt < 0) attempt = 0;
-  if (base >= cap || attempt >= 63) return cap;
-  // base << attempt <= cap  ⇔  base <= cap >> attempt (floor division), so
-  // the comparison never needs the possibly-overflowing shifted value.
-  if ((cap.count() >> attempt) < base.count()) return cap;
-  return std::chrono::microseconds(base.count() << attempt);
 }
 
 double EnvDouble(const char* name, double fallback) {

@@ -1,18 +1,14 @@
-// Client harness reproducing the paper's setup (§5.1.2-§5.1.3): a producer
-// thread generates transactions into a bounded push-pull queue; client
-// threads pull and keep a fixed pipeline of asynchronous transactions in
-// flight, replenishing on every completion. Runs are split into fixed-length
-// epochs with the first ones discarded as warm-up; metrics cover committed
-// transactions only (processing latency, not queueing latency).
+// Client harness reproducing the paper's setup (§5.1.2-§5.1.3): K client
+// threads, each generating its own transactions and keeping a fixed
+// pipeline of them in flight, replenishing on every completion. Runs are
+// split into fixed-length epochs with the first ones discarded as warm-up;
+// metrics cover committed transactions only, timed from submission
+// (processing latency: generation runs before the clock starts).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-
-#include "common/mutex.h"
 
 #include "actor/actor.h"
 #include "common/rng.h"
@@ -29,13 +25,11 @@ struct TxnRequest {
   Value input;
   ActorAccessInfo info;  ///< pre-declared accesses (PACT submissions only)
   TxnMode mode = TxnMode::kPact;
-  /// Stamped by the harness on first submission; retries inherit it so
-  /// ClientConfig::request_deadline covers the request's whole lifetime
-  /// across attempts (deadline propagation), not each attempt separately.
-  std::chrono::steady_clock::time_point first_submit{};
 };
 
-/// Generates the workload stream (runs on the producer thread).
+/// Generates the workload stream. Client threads call it concurrently, each
+/// with its own Rng, so it must sample only through that Rng and read only
+/// immutable shared state.
 using GeneratorFn = std::function<TxnRequest(Rng&)>;
 
 /// Submits a request to the system under test.
@@ -47,74 +41,18 @@ struct ClientConfig {
   double epoch_seconds = 2.0;
   int num_epochs = 6;     ///< paper: 6 (§5.1.3)
   int warmup_epochs = 2;  ///< paper: 2
-  uint64_t seed = 1234;
-  size_t queue_capacity = 8192;
-
-  /// Client-side ACT retry policy: an ACT acked with kActActConflict (the
-  /// wait-die victim) is resubmitted up to this many times. 0 (default)
-  /// keeps the paper's one-shot semantics; every attempt's abort is still
-  /// recorded (per-attempt accounting), and retries are counted in
-  /// EpochMetrics::act_retries.
-  int max_act_retries = 0;
-  /// Backoff before retry k (0-based): min(cap, base << k), jittered
-  /// uniformly down to half the value so conflicting victims desynchronize.
-  std::chrono::microseconds act_retry_backoff{500};
-  std::chrono::microseconds act_retry_backoff_cap{8000};
-
-  /// Overload retry policy: a completion shed with kOverloaded is
-  /// resubmitted after backoff while this per-client retry *budget* lasts.
-  /// The budget is shared across all of the client's overloaded completions
-  /// (not per transaction): under sustained saturation it drains and the
-  /// client starts abandoning shed requests — the back-pressure the
-  /// open-loop overload ramp measures (EpochMetrics::retry_budget_exhausted).
-  /// 0 (default) disables overload retries.
-  uint64_t overload_retry_budget = 0;
-  /// Backoff before overload retry k (0-based): min(cap, base << k),
-  /// saturating (see SaturatingBackoff), jittered like ACT retries.
-  std::chrono::microseconds overload_retry_backoff{1000};
-  std::chrono::microseconds overload_retry_backoff_cap{64000};
-  /// Per-request deadline (0 = off): an overloaded request older than this
-  /// (measured from its first submission) is abandoned instead of retried,
-  /// even with budget left (EpochMetrics::deadline_abandoned).
-  std::chrono::milliseconds request_deadline{0};
+  uint64_t seed = 1234;   ///< client c draws from Rng::Derive(seed, c + 1)
 
   double measured_seconds() const {
     return epoch_seconds * (num_epochs - warmup_epochs);
   }
 };
 
-/// Bounded blocking MPMC queue for TxnRequests (the push-pull queue).
-class PushPullQueue {
- public:
-  explicit PushPullQueue(size_t capacity) : capacity_(capacity) {}
-
-  /// Blocks while full; returns false if closed.
-  bool Push(TxnRequest request);
-  /// Blocks while empty; returns false if closed and drained.
-  bool Pop(TxnRequest* request);
-  void Close();
-
- private:
-  const size_t capacity_;
-  Mutex mu_;
-  CondVar not_full_;
-  CondVar not_empty_;
-  std::deque<TxnRequest> queue_ GUARDED_BY(mu_);
-  bool closed_ GUARDED_BY(mu_) = false;
-};
-
-/// Runs the benchmark: spawns the producer and `config.num_clients` client
-/// threads, runs the epoch clock, and returns merged post-warm-up metrics.
+/// Runs the benchmark: spawns `config.num_clients` client threads, runs the
+/// epoch clock, and returns merged post-warm-up metrics once every submitted
+/// transaction has resolved.
 BenchResult RunBench(const ClientConfig& config, const GeneratorFn& generate,
                      const SubmitFn& submit);
-
-/// Exponential backoff min(cap, base << attempt) that saturates at `cap`
-/// instead of overflowing the shift: attempt counts past the width of the
-/// representation (k >= 32, or any k where base << k would exceed cap)
-/// return exactly `cap`. Negative or zero base returns zero.
-std::chrono::microseconds SaturatingBackoff(std::chrono::microseconds base,
-                                            int attempt,
-                                            std::chrono::microseconds cap);
 
 /// Reads an environment override for bench scale knobs, e.g.
 /// EnvDouble("SNAPPER_EPOCH_SECONDS", 2.0). Lets CI run short epochs while

@@ -31,11 +31,7 @@ void EpochMetrics::Merge(const EpochMetrics& other) {
   committed_pact += other.committed_pact;
   committed_act += other.committed_act;
   aborted += other.aborted;
-  act_retries += other.act_retries;
   overloaded += other.overloaded;
-  overload_retries += other.overload_retries;
-  retry_budget_exhausted += other.retry_budget_exhausted;
-  deadline_abandoned += other.deadline_abandoned;
   for (size_t i = 0; i < abort_reasons.size(); ++i) {
     abort_reasons[i] += other.abort_reasons[i];
   }

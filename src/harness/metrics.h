@@ -22,22 +22,10 @@ struct EpochMetrics {
   uint64_t committed_pact = 0;
   uint64_t committed_act = 0;
   uint64_t aborted = 0;
-  /// ACT attempts resubmitted after a kActActConflict abort (client-side
-  /// retry policy, ClientConfig::max_act_retries). Accounting is
-  /// per-attempt: each retried attempt's abort is still counted above.
-  uint64_t act_retries = 0;
   /// Completions shed by admission control or a bounded mailbox
   /// (kOverloaded). Typed shedding, not aborts: counted separately so the
   /// abort rate keeps its Fig. 16c meaning under overload.
   uint64_t overloaded = 0;
-  /// Overloaded completions resubmitted (ClientConfig::overload_retry_*).
-  uint64_t overload_retries = 0;
-  /// Overloaded completions abandoned because the client's retry budget ran
-  /// out — the client-visible back-pressure signal under saturation.
-  uint64_t retry_budget_exhausted = 0;
-  /// Overloaded completions abandoned because the request outlived
-  /// ClientConfig::request_deadline across its attempts.
-  uint64_t deadline_abandoned = 0;
   /// Aborts by AbortReason (indexed by the enum's integer value).
   std::array<uint64_t, 16> abort_reasons{};
   Histogram latency;       ///< all committed

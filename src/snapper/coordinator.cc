@@ -9,8 +9,9 @@ namespace snapper {
 
 void CoordinatorActor::EmitBatchMsgTo(const ActorId& actor,
                                       const BatchMsg& msg) {
-  // Droppable: a lost (or duplicated) sub-batch is caught by the batch
-  // deadline watchdog / the receiver's duplicate guard.
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): one-way message. Droppable: a
+  // lost (or duplicated) sub-batch is caught by the batch deadline watchdog
+  // / the receiver's duplicate guard.
   runtime().Call<TransactionalActor>(
       actor,
       [msg](TransactionalActor& a) { return a.ReceiveBatch(msg); },
@@ -18,9 +19,10 @@ void CoordinatorActor::EmitBatchMsgTo(const ActorId& actor,
 }
 
 void CoordinatorActor::EmitBatchCommitTo(const ActorId& actor, uint64_t bid) {
-  // Droppable: ReceiveBatchCommit is idempotent, and an actor that never
-  // hears it self-heals during the next abort round (sequencer-committed
-  // batches are promoted there).
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): one-way message. Droppable:
+  // ReceiveBatchCommit is idempotent, and an actor that never hears it
+  // self-heals during the next abort round (sequencer-committed batches are
+  // promoted there).
   runtime().Call<TransactionalActor>(
       actor,
       [bid](TransactionalActor& a) { return a.ReceiveBatchCommit(bid); },
@@ -393,6 +395,8 @@ void CoordinatorActor::PassToken(Token token, bool formed_batch) {
   const ActorId next = ctx.CoordinatorId(index_ + 1);
   auto* runtime = &this->runtime();
   auto send = [runtime, next, token = std::move(token)]() mutable {
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): the token moves on by message;
+    // the ring waits on nothing.
     runtime->Call<CoordinatorActor>(
         next, [token = std::move(token)](CoordinatorActor& c) mutable {
           return c.ReceiveToken(std::move(token));

@@ -50,6 +50,11 @@ class ActorLock {
   bool IsHeldBy(uint64_t tid) const { return holders_.count(tid) > 0; }
   bool IsFree() const { return holders_.empty(); }
   size_t num_holders() const { return holders_.size(); }
+  std::vector<uint64_t> holder_tids() const {
+    std::vector<uint64_t> tids;
+    for (const auto& [tid, mode] : holders_) tids.push_back(tid);
+    return tids;
+  }
   size_t num_waiters() const { return waiters_.size(); }
 
   /// Total wait-die aborts issued by this lock (stats).

@@ -269,6 +269,8 @@ void SnapperRuntime::Start() {
   Token token;
   token.epoch = context_.abort_controller->epoch();
   token.next_tid = tid_base_;
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): starts the token ring, which
+  // circulates from here on by message.
   runtime_->Call<CoordinatorActor>(
       context_.CoordinatorId(0), [token](CoordinatorActor& c) mutable {
         return c.ReceiveToken(std::move(token));
@@ -374,6 +376,8 @@ Future<Unit> SnapperRuntime::KillActor(const ActorId& id) {
   // a durable BatchAbort record, so the bid-ordered commit chain never
   // waits on it.
   for (size_t i = 0; i < context_.config.num_coordinators; ++i) {
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): the round below is what the
+    // kill waits on; these notices only speed up the batch aborts.
     runtime_->Call<CoordinatorActor>(
         context_.CoordinatorId(i),
         [id](CoordinatorActor& c) { return c.OnActorFailed(id); });

@@ -451,7 +451,7 @@ Task<TxnResult> TransactionalActor::StartAct(FuncCall call) {
 
   const TxnExeInfo info = ctx.info->Snapshot();
   if (failure.ok()) {
-    failure = co_await CommitActAsRoot(ctx.tid, ctx.epoch, info);
+    failure = co_await CommitActAsRoot(ctx.tid, info);
   }
   if (!failure.ok()) {
     co_await AbortActAsRoot(ctx.tid, info);
@@ -483,7 +483,7 @@ Task<TxnResult> TransactionalActor::StartNt(FuncCall call) {
 // ACT commit/abort (root = 2PC coordinator, §4.3.3)
 // ---------------------------------------------------------------------------
 
-Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid, uint64_t epoch,
+Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid,
                                                  const TxnExeInfo& info) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
   auto& ctx = sctx();
   const uint64_t max_bs = info.MaxBeforeSet();
@@ -550,9 +550,7 @@ Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid, uint64_t epoch,
     ctx.counters.act_prepares.fetch_add(1);
     votes.push_back(runtime().Call<TransactionalActor>(
         actor,
-        [tid, epoch](TransactionalActor& a) {
-          return a.ActPrepare(tid, epoch);
-        },
+        [tid](TransactionalActor& a) { return a.ActPrepare(tid); },
         MsgGuard::kDroppable));
   }
   bool all_yes = co_await PrepareActLocal(tid);
@@ -592,6 +590,7 @@ Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid, uint64_t epoch,
   for (const auto& [actor, _] : info.participants) {
     if (actor == id()) continue;
     ctx.counters.act_commits.fetch_add(1);
+    // SNAPPER-ANALYZE-ALLOW(discarded-task): one-way commit notification.
     runtime().Call<TransactionalActor>(
         actor,
         [tid, max_bs](TransactionalActor& a) {
@@ -605,8 +604,10 @@ Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid, uint64_t epoch,
 Task<void> TransactionalActor::AbortActAsRoot(uint64_t tid,
                                               const TxnExeInfo& info) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
   auto& ctx = sctx();
-  // Record the abort before fanning out: a participant whose ActAbort
-  // message is lost re-resolves from this table (presumed abort anyway).
+  // Record the abort before fanning out: a prepared participant whose
+  // ActAbort message is lost re-resolves from this table (presumed abort
+  // anyway); an unprepared one keeps the ACT until the next abort round
+  // aborts it locally (AbortUnpreparedActs).
   ctx.RecordActDecision(tid, /*committed=*/false, kNoBid);
   std::vector<Future<void>> acks;
   for (const auto& [actor, _] : info.participants) {
@@ -633,7 +634,7 @@ Task<void> TransactionalActor::AbortActAsRoot(uint64_t tid,
 // ACT participant side
 // ---------------------------------------------------------------------------
 
-Task<bool> TransactionalActor::ActPrepare(uint64_t tid, uint64_t epoch) {
+Task<bool> TransactionalActor::ActPrepare(uint64_t tid) {
   co_return co_await PrepareActLocal(tid);
 }
 
@@ -871,8 +872,9 @@ Task<void> TransactionalActor::LogAndAckSubBatch(uint64_t bid) {
   auto owner = batch_owner_.find(bid);
   if (owner == batch_owner_.end()) co_return;  // aborted meanwhile
   ctx.counters.batch_completes.fetch_add(1);
-  // Droppable: a lost ack is recovered by the coordinator's batch deadline
-  // (deterministic BatchAbort), never by blocking the chain.
+  // SNAPPER-ANALYZE-ALLOW(discarded-task): one-way ack. Droppable: a lost
+  // ack is recovered by the coordinator's batch deadline (deterministic
+  // BatchAbort), never by blocking the chain.
   runtime().Call<CoordinatorActor>(
       ctx.CoordinatorId(owner->second),
       [bid, self = id()](CoordinatorActor& c) {
@@ -980,6 +982,17 @@ bool TransactionalActor::QuiescedForAbort() const {
   return active_invocations_ == 0 && prepared_acts_.empty() && lock_.IsFree();
 }
 
+void TransactionalActor::AbortUnpreparedActs() {
+  std::set<uint64_t> tids;
+  for (const auto& [tid, local] : act_local_) tids.insert(tid);
+  for (uint64_t tid : lock_.holder_tids()) tids.insert(tid);
+  for (uint64_t tid : tids) {
+    if (prepared_acts_.count(tid) > 0) continue;
+    TombstoneAct(tid);
+    DoAbortActLocal(tid);
+  }
+}
+
 void TransactionalActor::NotifyQuiesce() {
   if (quiesce_waiters_.empty()) return;
   auto waiters = std::move(quiesce_waiters_);
@@ -997,9 +1010,15 @@ Task<void> TransactionalActor::AbortUncommitted(Status status) {
       status, [sequencer](uint64_t bid) { return sequencer->IsCommitted(bid); });
   lock_.FailAllWaiters(status);
 
-  // Quiesce: wait for in-flight invocations to unwind and undecided ACTs to
-  // resolve (their 2PC outcomes arrive as later turns on this strand).
-  while (!QuiescedForAbort()) {
+  // Quiesce: wait for in-flight invocations to unwind and prepared ACTs to
+  // resolve (their 2PC outcomes arrive as later turns on this strand, or
+  // from the prepared-ACT watchdog). Once nothing runs here, an ACT that is
+  // not prepared here dies locally: the round dooms it anyway (a later
+  // ActPrepare refuses, see PrepareActLocal), and its ActAbort is
+  // droppable, so the round must not wait for that message.
+  while (true) {
+    if (active_invocations_ == 0) AbortUnpreparedActs();
+    if (QuiescedForAbort()) break;
     Promise<Unit> p;
     auto f = p.GetFuture();
     quiesce_waiters_.push_back(std::move(p));
@@ -1027,8 +1046,7 @@ Task<void> TransactionalActor::AbortUncommitted(Status status) {
   }
   for (uint64_t bid : dropped) batch_owner_.erase(bid);
 
-  // Any surviving ACT bookkeeping belongs to dead transactions (quiesce
-  // guarantees no lock holders / prepared ACTs remain).
+  // A killed activation skips the quiesce; its ACT bookkeeping is dead.
   act_local_.clear();
 
   state_ = DecodeImage(committed_image_, id());

@@ -84,7 +84,7 @@ class TransactionalActor : public ActorBase {
   Task<Value> InvokeTxn(TxnContext ctx, FuncCall call);
   Task<void> ReceiveBatch(BatchMsg msg);
   Task<void> ReceiveBatchCommit(uint64_t bid);
-  Task<bool> ActPrepare(uint64_t tid, uint64_t epoch);
+  Task<bool> ActPrepare(uint64_t tid);
   Task<void> ActCommit(uint64_t tid, uint64_t final_max_bs);
   Task<void> ActAbort(uint64_t tid);
 
@@ -192,8 +192,7 @@ class TransactionalActor : public ActorBase {
   Task<void> LogAndAckSubBatch(uint64_t bid);
 
   /// Root-side ACT commit: serializability check, commit-wait, then 2PC.
-  Task<Status> CommitActAsRoot(uint64_t tid, uint64_t epoch,
-                               const TxnExeInfo& info);
+  Task<Status> CommitActAsRoot(uint64_t tid, const TxnExeInfo& info);
   Task<void> AbortActAsRoot(uint64_t tid, const TxnExeInfo& info);
 
   /// Participant-side bookkeeping shared by local (root) and remote paths.
@@ -206,6 +205,9 @@ class TransactionalActor : public ActorBase {
   Future<Status> WaitBatchOutcome(uint64_t bid);
   void NotifyQuiesce();
   bool QuiescedForAbort() const;
+  /// Abort round, once no invocation runs here: aborts locally every ACT
+  /// with bookkeeping or the lock here that is not prepared here.
+  void AbortUnpreparedActs();
   /// True at a turn boundary where state_ matches committed_image_ and no
   /// in-flight transaction holds undecided state here: safe to checkpoint.
   bool QuiescentForCheckpoint() const;

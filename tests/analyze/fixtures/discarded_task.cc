@@ -11,9 +11,24 @@ namespace fixture_discard {
 Task<void> DoThing();
 Future<int> FetchIt();
 
+// `auto` return types: the rule reads a trailing return type, or else the
+// body's return statements (one `auto` function may forward another).
+auto Later() -> Future<int>;
+auto Relay() { return FetchIt(); }
+auto RelayAgain() { return Relay(); }
+auto Count() { return 3; }
+
+struct Runtime {
+  template <typename A>
+  auto Call(int id) {
+    return Relay();
+  }
+};
+
 struct Service {
   Task<int> Compute(int x);
   Strand* strand_;
+  Runtime* runtime_;
 
   void Caller() {
     DoThing();  // EXPECT-ANALYZE: discarded-task
@@ -21,6 +36,19 @@ struct Service {
     FetchIt();  // EXPECT-ANALYZE: discarded-task
 
     Compute(7);  // EXPECT-ANALYZE: discarded-task
+
+    Later();  // EXPECT-ANALYZE: discarded-task
+
+    RelayAgain();  // EXPECT-ANALYZE: discarded-task
+
+    runtime_->Call<Service>(1);  // EXPECT-ANALYZE: discarded-task
+
+    // OK: an `auto` function that returns no Task/Future.
+    Count();
+
+    // OK: a templated call's future bound to a variable.
+    auto relayed = runtime_->Call<Service>(2);
+    (void)relayed;
 
     // OK: result bound to a variable.
     auto pending = FetchIt();

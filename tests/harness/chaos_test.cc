@@ -221,21 +221,27 @@ TEST(ActorChaosTest, DroppedBatchMessageResolvedByWatchdog) {
 // Same walk over the ACT 2PC droppable messages (Prepare/Commit/Abort
 // fan-outs and their acks): a lost vote times out at the root, a lost
 // decision is re-derived (or presumed aborted) by the prepared-participant
-// watchdog. The walk must trigger at least one of those paths.
+// watchdog. The walk must trigger at least one of those paths. It runs once
+// without a kill and once with one: the kill's abort round must not wait on
+// a lost message either (an unprepared participant whose ActAbort is lost
+// still holds the ACT's lock when the round starts).
 TEST(ActorChaosTest, DroppedAct2pcMessageResolvedByWatchdog) {
   uint64_t resolved = 0;
-  for (uint64_t n = 1; n <= 6; ++n) {
-    ActorChaosOptions options;
-    options.seed = 9300 + n;
-    options.act_fraction = 1.0;  // ACT-only: pure 2PC
-    options.num_kills = 0;
-    options.msg_drop_p = options.msg_dup_p = options.msg_delay_p = 0;
-    options.drop_nth = n;
-    ActorChaosReport report = RunSmallBankActorChaos(options);
-    EXPECT_TRUE(report.ok()) << "n=" << n << " " << Describe(report);
-    EXPECT_EQ(report.unresolved, 0) << "n=" << n;
-    EXPECT_GE(report.msgs_dropped, 1u) << "n=" << n;
-    resolved += report.watchdog_act_aborts + report.watchdog_act_resolutions;
+  for (int kills : {0, 1}) {
+    for (uint64_t n = 1; n <= 6; ++n) {
+      ActorChaosOptions options;
+      options.seed = 9300 + n;
+      options.act_fraction = 1.0;  // ACT-only: pure 2PC
+      options.num_kills = kills;
+      options.msg_drop_p = options.msg_dup_p = options.msg_delay_p = 0;
+      options.drop_nth = n;
+      ActorChaosReport report = RunSmallBankActorChaos(options);
+      EXPECT_TRUE(report.ok())
+          << "kills=" << kills << " n=" << n << " " << Describe(report);
+      EXPECT_EQ(report.unresolved, 0) << "kills=" << kills << " n=" << n;
+      EXPECT_GE(report.msgs_dropped, 1u) << "kills=" << kills << " n=" << n;
+      resolved += report.watchdog_act_aborts + report.watchdog_act_resolutions;
+    }
   }
   EXPECT_GE(resolved, 1u);
 }

@@ -1,15 +1,19 @@
-// Tests of the bench harness: queue semantics, metrics accounting, workload
-// generators, and short end-to-end bench runs on both engines.
+// Tests of the bench harness: metrics accounting, workload generators, the
+// client loop, and short end-to-end bench runs on both engines.
 #include "harness/client.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
-#include <map>
+#include <deque>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "harness/paper_config.h"
 #include "harness/workload.h"
@@ -17,48 +21,6 @@
 
 namespace snapper::harness {
 namespace {
-
-TEST(PushPullQueueTest, FifoOrder) {
-  PushPullQueue q(10);
-  for (int i = 0; i < 5; ++i) {
-    TxnRequest r;
-    r.root = ActorId{0, static_cast<uint64_t>(i)};
-    ASSERT_TRUE(q.Push(std::move(r)));
-  }
-  for (int i = 0; i < 5; ++i) {
-    TxnRequest r;
-    ASSERT_TRUE(q.Pop(&r));
-    EXPECT_EQ(r.root.key, static_cast<uint64_t>(i));
-  }
-}
-
-TEST(PushPullQueueTest, BlocksWhenFullUntilPop) {
-  PushPullQueue q(1);
-  ASSERT_TRUE(q.Push(TxnRequest{}));
-  std::atomic<bool> pushed{false};
-  std::thread t([&] {
-    q.Push(TxnRequest{});
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  TxnRequest r;
-  ASSERT_TRUE(q.Pop(&r));
-  t.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(PushPullQueueTest, CloseUnblocksBothSides) {
-  PushPullQueue q(1);
-  q.Push(TxnRequest{});
-  std::thread pusher([&] { EXPECT_FALSE(q.Push(TxnRequest{})); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Close();
-  pusher.join();
-  TxnRequest r;
-  EXPECT_TRUE(q.Pop(&r));   // drains the remaining element
-  EXPECT_FALSE(q.Pop(&r));  // then reports closed
-}
 
 TEST(EpochMetricsTest, RecordsCommitsAndAborts) {
   EpochMetrics m;
@@ -245,224 +207,78 @@ TEST(HarnessEndToEnd, ShortOtxnBenchCommitsTransactions) {
   EXPECT_GT(result.totals.committed, 5u);
 }
 
-TEST(HarnessEndToEnd, ActRetriesRecoverConflictAborts) {
+// Each client generates its own requests and keeps its own pipeline full.
+// The synthetic engine resolves futures from a helper thread, oldest first,
+// only once every pipeline is full (or after 20 ms, so the run can drain).
+TEST(HarnessEndToEnd, EachClientGeneratesAndKeepsItsPipelineFull) {
   ClientConfig config;
-  config.num_clients = 1;
+  config.num_clients = 3;
   config.pipeline = 4;
-  config.epoch_seconds = 0.2;
+  config.epoch_seconds = 0.1;
   config.num_epochs = 2;
-  config.warmup_epochs = 0;
-  config.max_act_retries = 3;
-  config.act_retry_backoff = std::chrono::microseconds(200);
-  config.act_retry_backoff_cap = std::chrono::microseconds(1000);
+  config.warmup_epochs = 1;
+  const size_t full = config.num_clients * config.pipeline;
 
-  std::atomic<uint64_t> next_key{0};
-  GeneratorFn generate = [&](Rng&) {
-    TxnRequest request;
-    request.root = ActorId{1, next_key.fetch_add(1)};
-    request.method = "M";
-    request.mode = TxnMode::kAct;
-    return request;
-  };
-
-  // Synthetic engine: every transaction is a wait-die victim on its first
-  // two attempts and commits on the third.
   std::mutex mu;
-  std::map<uint64_t, int> attempts;
-  SubmitFn submit = [&](TxnRequest request) {
-    int n;
+  std::set<std::thread::id> generator_threads;
+  GeneratorFn generate = [&](Rng& rng) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      n = ++attempts[request.root.key];
+      generator_threads.insert(std::this_thread::get_id());
     }
+    TxnRequest request;
+    request.root = ActorId{1, rng.Uniform(100)};
+    request.mode = TxnMode::kPact;
+    return request;
+  };
+
+  using Clock = std::chrono::steady_clock;
+  std::deque<std::pair<Clock::time_point, Promise<TxnResult>>> pending;
+  std::vector<Future<TxnResult>> submitted;
+  std::atomic<size_t> in_flight{0};
+  size_t max_in_flight = 0;
+  SubmitFn submit = [&](TxnRequest) {
     Promise<TxnResult> promise;
-    auto future = promise.GetFuture();
-    TxnResult result;
-    if (n < 3) {
-      result.status =
-          Status::TxnAborted(AbortReason::kActActConflict, "synthetic");
-    }
-    promise.Set(std::move(result));
+    Future<TxnResult> future = promise.GetFuture();
+    std::lock_guard<std::mutex> lock(mu);
+    max_in_flight = std::max(max_in_flight, in_flight.fetch_add(1) + 1);
+    pending.emplace_back(Clock::now(), std::move(promise));
+    submitted.push_back(future);
     return future;
   };
-
-  BenchResult result = RunBench(config, generate, submit);
-  EXPECT_GT(result.totals.committed, 0u);
-  EXPECT_GT(result.totals.act_retries, 0u);
-  EXPECT_GT(result.totals.aborted, 0u);
-  // Per-attempt accounting: every recorded abort is a conflict abort here.
-  EXPECT_EQ(result.totals.abort_reasons[static_cast<int>(
-                AbortReason::kActActConflict)],
-            result.totals.aborted);
-  // The retry budget (3) bounds attempts; with commit-on-third no
-  // transaction should ever be submitted a fourth time.
-  std::lock_guard<std::mutex> lock(mu);
-  for (const auto& [key, n] : attempts) {
-    EXPECT_LE(n, 3) << "key " << key;
-  }
-}
-
-TEST(SaturatingBackoffTest, DoublesUntilCapThenSaturates) {
-  using std::chrono::microseconds;
-  const microseconds base{100}, cap{1000};
-  EXPECT_EQ(SaturatingBackoff(base, 0, cap), microseconds(100));
-  EXPECT_EQ(SaturatingBackoff(base, 1, cap), microseconds(200));
-  EXPECT_EQ(SaturatingBackoff(base, 3, cap), microseconds(800));
-  EXPECT_EQ(SaturatingBackoff(base, 4, cap), cap);  // 1600 > cap
-  EXPECT_EQ(SaturatingBackoff(base, 10, cap), cap);
-}
-
-// The satellite bug: `base << k` at k >= 32 used to overflow (UB for the
-// 64-bit rep at k >= 63, and garbage backoffs long before). The saturating
-// form must return exactly `cap` for every large attempt count.
-TEST(SaturatingBackoffTest, LargeAttemptCountsSaturateInsteadOfOverflowing) {
-  using std::chrono::microseconds;
-  const microseconds base{500}, cap{64000};
-  for (int k : {32, 40, 62, 63, 64, 1000, std::numeric_limits<int>::max()}) {
-    EXPECT_EQ(SaturatingBackoff(base, k, cap), cap) << "k=" << k;
-  }
-}
-
-TEST(SaturatingBackoffTest, EdgeCases) {
-  using std::chrono::microseconds;
-  // Non-positive base: no backoff.
-  EXPECT_EQ(SaturatingBackoff(microseconds(0), 5, microseconds(1000)),
-            microseconds(0));
-  EXPECT_EQ(SaturatingBackoff(microseconds(-10), 5, microseconds(1000)),
-            microseconds(0));
-  // Negative attempt clamps to 0.
-  EXPECT_EQ(SaturatingBackoff(microseconds(100), -3, microseconds(1000)),
-            microseconds(100));
-  // base >= cap: pinned at cap from the first attempt.
-  EXPECT_EQ(SaturatingBackoff(microseconds(2000), 0, microseconds(1000)),
-            microseconds(1000));
-}
-
-// Overload retries: a kOverloaded ack is resubmitted (after backoff) while
-// the per-client budget lasts, and the retried request eventually commits.
-TEST(HarnessEndToEnd, OverloadRetriesRecoverShedRequests) {
-  ClientConfig config;
-  config.num_clients = 1;
-  config.pipeline = 4;
-  config.epoch_seconds = 0.2;
-  config.num_epochs = 2;
-  config.warmup_epochs = 0;
-  config.overload_retry_budget = 10000;
-  config.overload_retry_backoff = std::chrono::microseconds(100);
-  config.overload_retry_backoff_cap = std::chrono::microseconds(500);
-
-  std::atomic<uint64_t> next_key{0};
-  GeneratorFn generate = [&](Rng&) {
-    TxnRequest request;
-    request.root = ActorId{1, next_key.fetch_add(1)};
-    request.method = "M";
-    request.mode = TxnMode::kPact;
-    return request;
-  };
-
-  // Synthetic engine: every request is shed twice, commits on the third
-  // attempt — admission control easing off as load drains.
-  std::mutex mu;
-  std::map<uint64_t, int> attempts;
-  SubmitFn submit = [&](TxnRequest request) {
-    int n;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      n = ++attempts[request.root.key];
+  std::atomic<bool> done{false};
+  std::thread resolver([&] {
+    while (!done.load()) {
+      std::optional<Promise<TxnResult>> next;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (pending.size() == full ||
+            (!pending.empty() && Clock::now() - pending.front().first >
+                                     std::chrono::milliseconds(20))) {
+          next = std::move(pending.front().second);
+          pending.pop_front();
+        }
+      }
+      if (!next.has_value()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        continue;
+      }
+      in_flight.fetch_sub(1);  // before Set: the client resubmits from it
+      next->Set(TxnResult{});
     }
-    Promise<TxnResult> promise;
-    auto future = promise.GetFuture();
-    TxnResult result;
-    if (n < 3) result.status = Status::Overloaded("synthetic shed");
-    promise.Set(std::move(result));
-    return future;
-  };
+  });
 
   BenchResult result = RunBench(config, generate, submit);
-  EXPECT_GT(result.totals.committed, 0u);
-  EXPECT_GT(result.totals.overloaded, 0u);
-  EXPECT_GT(result.totals.overload_retries, 0u);
-  // Typed sheds are not aborts (Fig. 16c abort-rate semantics preserved).
-  EXPECT_EQ(result.totals.aborted, 0u);
-  std::lock_guard<std::mutex> lock(mu);
-  for (const auto& [key, n] : attempts) {
-    EXPECT_LE(n, 3) << "key " << key;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& future : submitted) EXPECT_TRUE(future.ready());
+    EXPECT_EQ(generator_threads.size(), config.num_clients);
+    EXPECT_EQ(generator_threads.count(std::this_thread::get_id()), 0u);
+    EXPECT_EQ(max_in_flight, full);
   }
-}
-
-// Sustained saturation drains the shared budget: once it is gone the client
-// stops retrying and abandons shed requests (back-pressure), counted in
-// retry_budget_exhausted.
-TEST(HarnessEndToEnd, OverloadRetryBudgetDrainsUnderSustainedShedding) {
-  ClientConfig config;
-  config.num_clients = 1;
-  config.pipeline = 4;
-  config.epoch_seconds = 0.15;
-  config.num_epochs = 2;
-  config.warmup_epochs = 0;
-  config.overload_retry_budget = 5;
-  config.overload_retry_backoff = std::chrono::microseconds(50);
-  config.overload_retry_backoff_cap = std::chrono::microseconds(200);
-
-  std::atomic<uint64_t> next_key{0};
-  GeneratorFn generate = [&](Rng&) {
-    TxnRequest request;
-    request.root = ActorId{1, next_key.fetch_add(1)};
-    request.mode = TxnMode::kPact;
-    return request;
-  };
-  // Permanently saturated engine: everything is shed.
-  SubmitFn submit = [](TxnRequest) {
-    Promise<TxnResult> promise;
-    TxnResult shed;
-    shed.status = Status::Overloaded("synthetic saturation");
-    promise.Set(std::move(shed));
-    return promise.GetFuture();
-  };
-
-  BenchResult result = RunBench(config, generate, submit);
-  EXPECT_EQ(result.totals.committed, 0u);
-  EXPECT_GT(result.totals.overloaded, 0u);
-  // The budget bounds total retries; after it drains, abandonment is typed.
-  EXPECT_LE(result.totals.overload_retries, 5u);
-  EXPECT_GT(result.totals.retry_budget_exhausted, 0u);
-}
-
-// Deadline propagation: the deadline covers the request's whole lifetime
-// from first submission, so a shed request whose retry would land past it is
-// abandoned even with budget left.
-TEST(HarnessEndToEnd, OverloadDeadlineAbandonsOldRequests) {
-  ClientConfig config;
-  config.num_clients = 1;
-  config.pipeline = 2;
-  config.epoch_seconds = 0.15;
-  config.num_epochs = 2;
-  config.warmup_epochs = 0;
-  config.overload_retry_budget = 1000000;  // never the binding constraint
-  config.overload_retry_backoff = std::chrono::microseconds(2000);
-  config.overload_retry_backoff_cap = std::chrono::microseconds(2000);
-  config.request_deadline = std::chrono::milliseconds(1);
-
-  std::atomic<uint64_t> next_key{0};
-  GeneratorFn generate = [&](Rng&) {
-    TxnRequest request;
-    request.root = ActorId{1, next_key.fetch_add(1)};
-    request.mode = TxnMode::kPact;
-    return request;
-  };
-  SubmitFn submit = [](TxnRequest) {
-    Promise<TxnResult> promise;
-    TxnResult shed;
-    shed.status = Status::Overloaded("synthetic saturation");
-    promise.Set(std::move(shed));
-    return promise.GetFuture();
-  };
-
-  BenchResult result = RunBench(config, generate, submit);
-  EXPECT_EQ(result.totals.committed, 0u);
-  EXPECT_GT(result.totals.deadline_abandoned, 0u);
-  // Budget never exhausted: the deadline, not the budget, stops retries.
-  EXPECT_EQ(result.totals.retry_budget_exhausted, 0u);
+  done.store(true);
+  resolver.join();
+  EXPECT_GT(result.totals.committed, 0u);
 }
 
 TEST(PaperConfigTest, ScaleTableFollowsBaseUnit) {
