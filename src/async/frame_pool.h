@@ -1,7 +1,8 @@
 // Per-thread recycling allocator for coroutine frames and future states.
 //
-// Every actor message hop allocates a Task frame and a FutureState, and the
-// hop usually ends on a different worker from the one that started it, so
+// Every actor message hop allocates a Task frame, a FutureState and a strand
+// mailbox node, and the hop usually ends on a different worker from the one
+// that started it, so
 // the block is freed on a thread that did not allocate it. glibc's
 // per-thread bins hold only a few blocks per size; once they fill, those
 // frees fall through to its locked arena paths. This pool keeps a bounded

@@ -4,12 +4,26 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 namespace snapper {
 namespace {
+
+/// Polls `done` until it holds or `seconds` pass; returns whether it held.
+bool WaitUntil(const std::function<bool()>& done, double seconds = 10.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
+}
 
 TEST(ExecutorTest, RunsPostedTasks) {
   Executor ex(2);
@@ -184,6 +198,210 @@ TEST(StrandTest, LongQueueYieldsWorker) {
   // the busy strand must yield the worker after each drain budget.
   EXPECT_LT(other_position.load(), 1000);
   ex.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Scheduler stress: run-queue, injection-queue and park/wake protocols.
+// scripts/check.sh reruns this suite under ThreadSanitizer with
+// --gtest_repeat, since a race in lock-free code shows only rarely per run.
+// ---------------------------------------------------------------------------
+
+// Bursts from outside threads and from the workers themselves, with pauses
+// between rounds long enough for every worker to park. A lost wake-up leaves
+// a job queued while all workers sleep, and the round never completes.
+TEST(SchedulerTest, NoLostWakeupAcrossParkingRounds) {
+  Executor ex(3);
+  constexpr int kRounds = 300;
+  constexpr int kOutsideThreads = 2;
+  constexpr int kPerThread = 8;
+  constexpr int kFanOut = 3;  // jobs each outside job posts from its worker
+  std::atomic<int> ran{0};
+  int expected = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> posters;
+    for (int t = 0; t < kOutsideThreads; ++t) {
+      posters.emplace_back([&ex, &ran] {
+        for (int i = 0; i < kPerThread; ++i) {
+          ex.Post([&ex, &ran] {
+            for (int k = 0; k < kFanOut; ++k) {
+              ex.Post([&ran] { ran.fetch_add(1); });
+            }
+            ran.fetch_add(1);
+          });
+        }
+      });
+    }
+    for (auto& t : posters) t.join();
+    expected += kOutsideThreads * kPerThread * (1 + kFanOut);
+    ASSERT_TRUE(WaitUntil([&] { return ran.load() == expected; }))
+        << "round " << round << ": " << ran.load() << " of " << expected
+        << " jobs ran";
+    // Vary the pause so that posts meet workers mid-park as well as parked.
+    std::this_thread::sleep_for(std::chrono::microseconds((round % 4) * 100));
+  }
+  ex.Stop();
+  EXPECT_EQ(ran.load(), expected);
+}
+
+// A drain queued on a worker's own run queue must not wait for that worker:
+// while it is stuck in a long job, another worker steals the drain.
+TEST(SchedulerTest, BlockedWorkerDoesNotStrandItsQueue) {
+  Executor ex(2);
+  auto strand = std::make_shared<Strand>(&ex);
+  std::atomic<int> turns{0};
+  std::atomic<bool> stolen{false};
+  std::atomic<bool> blocked_done{false};
+  ex.Post([&] {
+    // Queued on this worker's run queue, since this is a worker thread.
+    for (int i = 0; i < 3; ++i) {
+      strand->Post([&turns] { turns.fetch_add(1); });
+    }
+    stolen.store(WaitUntil([&] { return turns.load() == 3; }));
+    blocked_done.store(true);
+  });
+  ASSERT_TRUE(WaitUntil([&] { return blocked_done.load(); }, 20.0));
+  EXPECT_TRUE(stolen.load())
+      << "the queued drain waited for the blocked worker";
+  ex.Stop();
+  EXPECT_EQ(turns.load(), 3);
+}
+
+// Turns posted to one strand keep each producer's order, whether the
+// producer is a worker (run-queue path) or an outside thread (injection).
+TEST(SchedulerTest, PerProducerFifoOnOneStrand) {
+  Executor ex(3);
+  auto strand = std::make_shared<Strand>(&ex);
+  constexpr int kWorkerProducers = 3;
+  constexpr int kOutsideProducers = 2;
+  constexpr int kProducers = kWorkerProducers + kOutsideProducers;
+  constexpr int kPerProducer = 2000;
+  std::vector<int> next(kProducers, 0);  // strand-confined
+  std::atomic<int> out_of_order{0};
+  std::atomic<int> ran{0};
+  auto produce = [&](int producer) {
+    for (int seq = 0; seq < kPerProducer; ++seq) {
+      strand->Post([&, producer, seq] {
+        if (next[producer] != seq) out_of_order.fetch_add(1);
+        next[producer] = seq + 1;
+        ran.fetch_add(1);
+      });
+    }
+  };
+  for (int p = 0; p < kWorkerProducers; ++p) {
+    ex.Post([&produce, p] { produce(p); });
+  }
+  std::vector<std::thread> outside;
+  for (int p = kWorkerProducers; p < kProducers; ++p) {
+    outside.emplace_back([&produce, p] { produce(p); });
+  }
+  for (auto& t : outside) t.join();
+  ASSERT_TRUE(
+      WaitUntil([&] { return ran.load() == kProducers * kPerProducer; }));
+  ex.Stop();
+  EXPECT_EQ(out_of_order.load(), 0);
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[p], kPerProducer);
+}
+
+// QueueDepth counts turns posted and not yet taken by a drain; MaxQueueDepth
+// is the largest depth right after any post.
+TEST(SchedulerTest, QueueDepthIsExact) {
+  Executor ex(1);
+  auto strand = std::make_shared<Strand>(&ex);
+  std::atomic<bool> release{false};
+  std::atomic<bool> holding{false};
+  std::atomic<int> ran{0};
+  // Holds the only worker so the posts below stay queued.
+  auto hold_worker = [&] {
+    release.store(false);
+    holding.store(false);
+    ex.Post([&] {
+      holding.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    ASSERT_TRUE(WaitUntil([&] { return holding.load(); }));
+  };
+  EXPECT_EQ(strand->QueueDepth(), 0u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 0u);
+
+  hold_worker();
+  for (int i = 0; i < 5; ++i) strand->Post([&ran] { ran.fetch_add(1); });
+  EXPECT_EQ(strand->QueueDepth(), 5u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 5u);
+  release.store(true);
+  ASSERT_TRUE(WaitUntil([&] { return ran.load() == 5; }));
+  EXPECT_EQ(strand->QueueDepth(), 0u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 5u);
+
+  // A running turn is no longer queued: while the 2nd of 4 turns blocks,
+  // two remain.
+  hold_worker();
+  std::atomic<bool> in_second{false};
+  std::atomic<bool> release_second{false};
+  strand->Post([&ran] { ran.fetch_add(1); });
+  strand->Post([&] {
+    in_second.store(true);
+    while (!release_second.load()) std::this_thread::yield();
+    ran.fetch_add(1);
+  });
+  strand->Post([&ran] { ran.fetch_add(1); });
+  strand->Post([&ran] { ran.fetch_add(1); });
+  EXPECT_EQ(strand->QueueDepth(), 4u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 5u);
+  release.store(true);
+  ASSERT_TRUE(WaitUntil([&] { return in_second.load(); }));
+  EXPECT_EQ(strand->QueueDepth(), 2u);
+  // Posted from outside while a drain runs: depth 3, the max stays 5.
+  strand->Post([&ran] { ran.fetch_add(1); });
+  EXPECT_EQ(strand->QueueDepth(), 3u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 5u);
+  release_second.store(true);
+  ASSERT_TRUE(WaitUntil([&] { return ran.load() == 10; }));
+  EXPECT_EQ(strand->QueueDepth(), 0u);
+
+  hold_worker();
+  for (int i = 0; i < 7; ++i) strand->Post([&ran] { ran.fetch_add(1); });
+  EXPECT_EQ(strand->QueueDepth(), 7u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 7u);
+  release.store(true);
+  ASSERT_TRUE(WaitUntil([&] { return ran.load() == 17; }));
+  EXPECT_EQ(strand->QueueDepth(), 0u);
+  EXPECT_EQ(strand->MaxQueueDepth(), 7u);
+  ex.Stop();
+}
+
+// Stop() runs what is already queued, on every worker's run queue and on
+// the injection queue, and drops what is posted after it.
+TEST(SchedulerTest, StopRunsEveryQueuedJob) {
+  constexpr int kWorkers = 3;
+  constexpr int kPerWorker = 200;  // queued from each held worker
+  constexpr int kOutside = 300;    // queued on the injection queue
+  Executor ex(kWorkers);
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  for (int w = 0; w < kWorkers; ++w) {
+    ex.Post([&] {
+      // A worker holds at most one of these, so each lands on its own
+      // worker, and every job it posts goes to that worker's run queue.
+      for (int i = 0; i < kPerWorker; ++i) {
+        ex.Post([&ran] { ran.fetch_add(1); });
+      }
+      holding.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  ASSERT_TRUE(WaitUntil([&] { return holding.load() == kWorkers; }));
+  for (int i = 0; i < kOutside; ++i) ex.Post([&ran] { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 0);
+  std::thread stopper([&ex] { ex.Stop(); });
+  // Let Stop() mark the executor stopping before the workers are let go.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release.store(true);
+  stopper.join();
+  EXPECT_EQ(ran.load(), kWorkers * kPerWorker + kOutside);
+  ex.Post([&ran] { ran.fetch_add(1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ran.load(), kWorkers * kPerWorker + kOutside);
 }
 
 }  // namespace
