@@ -137,6 +137,7 @@ Task<Value*> TransactionalActor::GetState(TxnContext& ctx, AccessMode mode) {  /
         throw TxnAbort(Status::TxnAborted(AbortReason::kCascading,
                                           "ACT already aborted"));
       }
+      const bool first_hold = !lock_.IsHeldBy(ctx.tid);
       Future<Status> acquired = lock_.Acquire(ctx.tid, mode);
       // A queued request is a pending wait the hybrid deadlock rule may end.
       if (ctx.info && !acquired.ready()) ctx.info->AddPendingWait(acquired);
@@ -150,6 +151,12 @@ Task<Value*> TransactionalActor::GetState(TxnContext& ctx, AccessMode mode) {  /
                                           "lock wait timed out"));
       }
       if (!s.ok()) throw TxnAbort(s);
+      if (first_hold && ctx.root_actor != id()) {
+        // The root's ActAbort to this participant is droppable: if it is
+        // lost, the watchdog ends the ACT here instead of the next abort
+        // round.
+        ArmActWatchdog(ctx.tid, /*prepared=*/false, 0);
+      }
       if (mode == AccessMode::kReadWrite) {
         ActLocal& local = act_local_[ctx.tid];
         if (local.before_image.empty()) local.before_image = state_.Encode();
@@ -604,10 +611,11 @@ Task<Status> TransactionalActor::CommitActAsRoot(uint64_t tid,
 Task<void> TransactionalActor::AbortActAsRoot(uint64_t tid,
                                               const TxnExeInfo& info) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
   auto& ctx = sctx();
-  // Record the abort before fanning out: a prepared participant whose
-  // ActAbort message is lost re-resolves from this table (presumed abort
-  // anyway); an unprepared one keeps the ACT until the next abort round
-  // aborts it locally (AbortUnpreparedActs).
+  // Record the abort before fanning out: a participant whose ActAbort
+  // message is lost re-resolves from this table (presumed abort anyway)
+  // when its watchdog fires; with the watchdog off, an unprepared one keeps
+  // the ACT until the next abort round aborts it locally
+  // (AbortUnpreparedActs).
   ctx.RecordActDecision(tid, /*committed=*/false, kNoBid);
   std::vector<Future<void>> acks;
   for (const auto& [actor, _] : info.participants) {
@@ -672,18 +680,45 @@ Task<bool> TransactionalActor::PrepareActLocal(uint64_t tid) {
   }
   // Prepared and durable: if the 2PC outcome message never arrives, the
   // watchdog re-resolves from the runtime's decision table.
-  ArmPreparedActWatchdog(tid, 0);
+  ArmActWatchdog(tid, /*prepared=*/true, 0);
   co_return true;
 }
 
-void TransactionalActor::ArmPreparedActWatchdog(uint64_t tid, int attempt) {
+void TransactionalActor::ArmActWatchdog(uint64_t tid, bool prepared,
+                                        int attempt) {
   const auto deadline = sctx().config.act_resolution_deadline;
   if (deadline.count() <= 0) return;
   auto self = std::static_pointer_cast<TransactionalActor>(shared_from_this());
-  runtime().timers().Schedule(deadline, [self, tid, attempt]() {
-    self->strand().Post(
-        [self, tid, attempt]() { self->ResolveStuckPreparedAct(tid, attempt); });
+  runtime().timers().Schedule(deadline, [self, tid, prepared, attempt]() {
+    self->strand().Post([self, tid, prepared, attempt]() {
+      if (prepared) {
+        self->ResolveStuckPreparedAct(tid, attempt);
+      } else {
+        self->ResolveStuckUnpreparedAct(tid, attempt);
+      }
+    });
   });
+}
+
+void TransactionalActor::ResolveStuckUnpreparedAct(uint64_t tid,
+                                                   int attempt) {
+  if (failed()) return;
+  // Prepared since (the prepared watchdog owns it now), or ended here.
+  if (prepared_acts_.count(tid) > 0) return;
+  if (act_local_.count(tid) == 0 && !lock_.IsHeldBy(tid)) return;
+  const auto decision = sctx().LookupActDecision(tid).first;
+  // A commit needs this participant's prepare, so only abort can be known.
+  if (decision == SnapperContext::ActDecision::kCommitted) return;
+  if (decision == SnapperContext::ActDecision::kUnknown &&
+      attempt + 1 < kMaxPreparedActChecks) {
+    ArmActWatchdog(tid, /*prepared=*/false, attempt + 1);
+    return;
+  }
+  // Aborted at the root, whose ActAbort to here was lost; or still undecided
+  // after every check. Aborting here is safe either way: a later ActPrepare
+  // finds the tid tombstoned and votes no, so the root aborts too.
+  sctx().counters.watchdog_act_resolutions.fetch_add(1);
+  AbortActLocal(tid);
 }
 
 void TransactionalActor::ResolveStuckPreparedAct(uint64_t tid, int attempt) {
@@ -701,7 +736,7 @@ void TransactionalActor::ResolveStuckPreparedAct(uint64_t tid, int attempt) {
       return;
     case SnapperContext::ActDecision::kUnknown:
       if (attempt + 1 < kMaxPreparedActChecks) {
-        ArmPreparedActWatchdog(tid, attempt + 1);
+        ArmActWatchdog(tid, /*prepared=*/true, attempt + 1);
         return;
       }
       // The root never decided (e.g. it was killed mid-2PC): presumed

@@ -252,10 +252,13 @@ class TransactionalActor : public ActorBase {
   /// max(BS) of ACTs committed on this actor (§4.4.3: the Tj -> Ti carry).
   uint64_t act_bs_watermark_ = kNoBid;
 
-  /// Re-resolves a prepared ACT whose 2PC outcome message never arrived
-  /// (config.act_resolution_deadline) from the runtime's decision table.
-  void ArmPreparedActWatchdog(uint64_t tid, int attempt);
+  /// Re-resolves an ACT whose 2PC outcome message never arrived from the
+  /// runtime's decision table, every config.act_resolution_deadline: a
+  /// prepared one from its prepare on, an unprepared one from when a
+  /// non-root participant first takes its lock.
+  void ArmActWatchdog(uint64_t tid, bool prepared, int attempt);
   void ResolveStuckPreparedAct(uint64_t tid, int attempt);
+  void ResolveStuckUnpreparedAct(uint64_t tid, int attempt);
   static constexpr int kMaxPreparedActChecks = 8;
 
   int active_invocations_ = 0;

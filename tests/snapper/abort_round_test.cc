@@ -1,13 +1,15 @@
-// An abort round must not wait for a message that may be lost. An ACT
-// writes participant P, then aborts at its root while the link drops every
-// droppable message, so P never hears ActAbort. P is not prepared, so no
-// watchdog resolves the ACT there, and P keeps its lock and its write. The
-// next global abort round, requested directly or started by a kill, must
-// still quiesce P and roll the write back.
+// An ACT writes participant P, then aborts at its root while the link drops
+// every droppable message, so P never hears ActAbort. P is not prepared.
+// With the resolution watchdog off, P keeps its lock and its write until the
+// next global abort round, requested directly or started by a kill, which
+// must not wait for the lost message: it must still quiesce P and roll the
+// write back. With the watchdog on, P ends the ACT itself, with no round.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "snapper/snapper_runtime.h"
@@ -104,6 +106,43 @@ INSTANTIATE_TEST_SUITE_P(StartedBy, AbortRoundTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Kill" : "AbortAll";
                          });
+
+TEST(UnpreparedActWatchdogTest, LostActAbortIsResolvedWithoutAnAbortRound) {
+  auto env = std::make_unique<MemEnv>();
+  SnapperConfig config;
+  config.act_resolution_deadline = std::chrono::milliseconds(20);
+  auto rt = std::make_unique<SnapperRuntime>(config, env.get());
+  const uint32_t type = rt->RegisterActorType(
+      "Pay", [](uint64_t) { return std::make_shared<PayActor>(); });
+  rt->Start();
+  const ActorId root{type, 0};
+  const ActorId p{type, 1};
+  const uint64_t epoch = rt->context().abort_controller->epoch();
+
+  rt->runtime().msg_faults().SetLinkDown(true);
+  const TxnResult result =
+      rt->SubmitAct(root, "PayThenAbort", Value(int64_t{1})).Get();
+  rt->runtime().msg_faults().SetLinkDown(false);
+  ASSERT_TRUE(result.status.IsTxnAborted()) << result.status.ToString();
+  EXPECT_EQ(rt->runtime().msg_faults().dropped(), 1u);
+
+  // P's watchdog reads the root's recorded abort and rolls P back.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Balances(*rt, p) != std::make_pair(int64_t{100}, int64_t{100})) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "P still holds the dead ACT's write";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(rt->context().counters.watchdog_act_resolutions.load(), 1u);
+  EXPECT_EQ(rt->context().abort_controller->epoch(), epoch);
+
+  // P's lock is free again: the next ACT on P commits.
+  const TxnResult next = rt->SubmitAct(p, "Add", Value(int64_t{5})).Get();
+  EXPECT_TRUE(next.status.ok()) << next.status.ToString();
+  EXPECT_EQ(Balances(*rt, p), std::make_pair(int64_t{105}, int64_t{105}));
+  EXPECT_EQ(Balances(*rt, root), std::make_pair(int64_t{100}, int64_t{100}));
+}
 
 }  // namespace
 }  // namespace snapper
